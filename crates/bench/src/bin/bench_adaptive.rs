@@ -1,29 +1,25 @@
-//! Adaptive hot-path controller gate — drifting-plasma scenarios for the
-//! online controller in [`pic_core::control`].
+//! Sort-scheduler gate — drifting-plasma scenarios for the
+//! disorder-driven sort scheduler in [`pic_core::control`].
 //!
-//! Two scenarios, both against honest static competitors:
+//! Two scenarios, both against honest static competitors on the same
+//! `lanes/lane_reduce` hot path:
 //!
 //! * **steady** (Landau damping): disorder develops only through natural
 //!   phase mixing, so well-tuned static sort periods are hard to beat —
-//!   the controller must finish within `--tolerance` percent (default 5)
-//!   of the best member of a static grid over kernel path × deposit path
-//!   × sort period (including "never sort").
+//!   the scheduler must finish within `--tolerance` percent (default 5)
+//!   of the best static sort period (including "never sort").
 //! * **drift** (two-stream with injection disorder): after a quiet phase,
 //!   a seeded physics-neutral permutation scrambles the particle array on
 //!   a cadence no fixed period matches — every static schedule either
 //!   sorts at the wrong times or traverses scrambled for most of the
-//!   drifting phase. The adaptive run starts from a deliberately poor
-//!   configuration (scalar kernel, block deposit) and calibrates out of
-//!   it during the quiet phase; the gate then compares the *drifting
-//!   phase alone*, where the controller (which watches the disorder
-//!   metric, not the clock) must beat the *best* static sort period
-//!   outright. Injection time itself is excluded from every measurement —
-//!   only simulation stepping is on the clock.
+//!   drifting phase. The gate compares the *drifting phase alone*, where
+//!   the scheduler (which watches the disorder metric, not the clock)
+//!   must beat the *best* static sort period outright. Injection time
+//!   itself is excluded from every measurement — only simulation stepping
+//!   is on the clock.
 //!
-//! Every applied switch is ledgered: the run asserts the controller's
-//! decisions all landed in a [`FaultLog`] (as `adapt` records) and in a
-//! [`DiagStream`] (as `"adapt"` JSON lines) — an unledgered switch fails
-//! the gate.
+//! The drift run also checks the decision itself: after every injection
+//! the scheduler must sort within `min_sort_spacing` steps.
 //!
 //! Results land in `results/BENCH_adaptive.json`.
 //!
@@ -33,13 +29,18 @@
 use pic_bench::cli::Args;
 use pic_bench::report::{results_path, write_json_file, Json};
 use pic_bench::table::Table;
-use pic_core::control::{ControllerConfig, SwitchEvent};
-use pic_core::diag::DiagStream;
-use pic_core::faultlog::{FaultKind, FaultLog};
+use pic_core::control::ControllerConfig;
 use pic_core::rng::Rng;
-use pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
+use pic_core::sim::{PicConfig, Simulation};
 use pic_core::PicError;
 use std::time::Instant;
+
+/// The static sort periods the scheduler competes with (0 = never).
+const PERIODS: [usize; 5] = [0, 8, 16, 32, 64];
+
+/// Per injection, the 1-based step after it at which the scheduler sorted
+/// (`None` if it never did before the next injection or the end).
+type SortDelays = Vec<Option<usize>>;
 
 fn gate(cond: bool, what: &str) -> Result<(), PicError> {
     if cond {
@@ -76,29 +77,41 @@ fn inject_disorder(sim: &mut Simulation, rng: &mut Rng) {
 /// One timed run: quiet for `steady_steps`, then `drift_steps` with an
 /// injection scramble every `shuffle_every` steps. Injection time is kept
 /// off the clock. Returns `(quiet-phase, drift-phase)` stepped wall
-/// seconds and the controller's drained switch events (empty for static
-/// configs).
+/// seconds and the scheduler's [`SortDelays`] (empty for static configs).
 fn run_once(
     cfg: &PicConfig,
     steady_steps: usize,
     drift_steps: usize,
     shuffle_every: usize,
-) -> Result<(f64, f64, Vec<SwitchEvent>), PicError> {
+) -> Result<(f64, f64, SortDelays), PicError> {
     let mut sim = Simulation::new(cfg.clone())?;
     let mut rng = Rng::seed_from_u64(0xD81F7);
     let t = Instant::now();
     sim.run(steady_steps);
     let quiet = t.elapsed().as_secs_f64();
     let mut drift = 0.0;
+    let mut delays = Vec::new();
+    let mut since_injection = 0;
     for s in 0..drift_steps {
         if s % shuffle_every.max(1) == 0 {
             inject_disorder(&mut sim, &mut rng);
+            if sim.controller().is_some() {
+                delays.push(None);
+                since_injection = 0;
+            }
+        }
+        let sorts = sim.controller().is_some_and(|c| c.should_sort());
+        since_injection += 1;
+        if let Some(d) = delays.last_mut() {
+            if sorts && d.is_none() {
+                *d = Some(since_injection);
+            }
         }
         let t = Instant::now();
         sim.step();
         drift += t.elapsed().as_secs_f64();
     }
-    Ok((quiet, drift, sim.take_hot_path_events()))
+    Ok((quiet, drift, delays))
 }
 
 /// Min-of-reps wall time per phase for a set of configurations, with the
@@ -107,18 +120,18 @@ fn run_once(
 /// on a shared box drifts over minutes, so configs compared against each
 /// other must be measured in the same window — timing all reps of one
 /// config before the next would fold minutes of thermal drift into the
-/// comparison. Returns per-config `(quiet, drift)` minima plus the first
-/// rep's switch events per config (empty for static configs).
-#[allow(clippy::type_complexity)]
+/// comparison. Returns per-config `(quiet, drift)` minima plus the sort
+/// delays of the last config's first rep (the scheduled run, which the
+/// callers put last; its schedule is deterministic).
 fn timed_set(
     cfgs: &[PicConfig],
     reps: usize,
     steady: usize,
     drift: usize,
     every: usize,
-) -> Result<(Vec<(f64, f64)>, Vec<Vec<SwitchEvent>>), PicError> {
+) -> Result<(Vec<(f64, f64)>, SortDelays), PicError> {
     let mut best = vec![(f64::INFINITY, f64::INFINITY); cfgs.len()];
-    let mut events: Vec<Option<Vec<SwitchEvent>>> = vec![None; cfgs.len()];
+    let mut delays = None;
     for rep in 0..reps.max(1) {
         // Rotate the starting position each rep: load ramps and thermal
         // drift within a rep are roughly monotonic, so a fixed order would
@@ -126,24 +139,36 @@ fn timed_set(
         let start = rep * cfgs.len() / reps.max(1);
         for k in 0..cfgs.len() {
             let i = (start + k) % cfgs.len();
-            let (q, d, ev) = run_once(&cfgs[i], steady, drift, every)?;
+            let (q, d, dl) = run_once(&cfgs[i], steady, drift, every)?;
             best[i].0 = best[i].0.min(q);
             best[i].1 = best[i].1.min(d);
-            events[i].get_or_insert(ev);
+            if i + 1 == cfgs.len() {
+                delays.get_or_insert(dl);
+            }
         }
     }
-    Ok((
-        best,
-        events.into_iter().map(Option::unwrap_or_default).collect(),
-    ))
+    Ok((best, delays.unwrap_or_default()))
 }
 
-fn static_label(k: KernelPath, d: DepositPath, p: usize) -> String {
-    format!(
-        "{}/{}/{p}",
-        pic_core::control::kernel_name(k),
-        pic_core::control::deposit_name(d)
-    )
+/// The static competitors at every period in [`PERIODS`], followed by the
+/// scheduled run on the same base config.
+fn competitors(base: &PicConfig) -> Vec<PicConfig> {
+    let mut cfgs: Vec<PicConfig> = PERIODS
+        .iter()
+        .map(|&period| {
+            let mut cfg = base.clone();
+            cfg.sort_period = period;
+            cfg
+        })
+        .collect();
+    let mut scheduled = base.clone();
+    scheduled.controller = Some(ControllerConfig::default());
+    cfgs.push(scheduled);
+    cfgs
+}
+
+fn static_label(period: usize) -> String {
+    format!("lanes/lane_reduce/{period}")
 }
 
 fn run() -> Result<(), PicError> {
@@ -153,7 +178,7 @@ fn run() -> Result<(), PicError> {
     let reps: usize = args.get("reps", 2);
     let tolerance: f64 = args.get("tolerance", 5.0); // percent, steady gate
 
-    let mut table = Table::new(&["Scenario", "Config", "Wall s", "Switches", "Verdict"]);
+    let mut table = Table::new(&["Scenario", "Config", "Wall s", "Verdict"]);
 
     // ---------------- steady: Landau damping ----------------
     // 256×256 grid: the per-cell field structures (redundant ρ rows +
@@ -168,38 +193,14 @@ fn run() -> Result<(), PicError> {
     let mut base = PicConfig::landau_table1(n);
     base.grid_nx = 256;
     base.grid_ny = 256;
-
-    let steady_grid: &[(KernelPath, DepositPath, usize)] = &[
-        (KernelPath::Scalar, DepositPath::LaneReduce, 32),
-        (KernelPath::Lanes, DepositPath::SortedBlock, 32),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 0),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 8),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 16),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 32),
-        (KernelPath::Lanes, DepositPath::LaneReduce, 64),
-    ];
-    let mut steady_cfgs: Vec<PicConfig> = steady_grid
-        .iter()
-        .map(|&(kernel, deposit, period)| {
-            let mut cfg = base.clone();
-            cfg.kernel_path = kernel;
-            cfg.deposit_path = deposit;
-            cfg.sort_period = period;
-            cfg
-        })
-        .collect();
-    let mut adaptive = base.clone();
-    adaptive.controller = Some(ControllerConfig::default());
-    steady_cfgs.push(adaptive);
-    let (steady_times, mut steady_event_sets) = timed_set(&steady_cfgs, reps, steps, 0, 0)?;
-    let steady_events = steady_event_sets.pop().unwrap_or_default();
+    let (steady_times, _) = timed_set(&competitors(&base), reps, steps, 0, 0)?;
     let steady_secs = steady_times.last().map(|&(q, _)| q).unwrap_or(f64::NAN);
 
     let mut best_static = f64::INFINITY;
     let mut best_label = String::new();
     let mut steady_json: Vec<(String, Json)> = Vec::new();
-    for (&(kernel, deposit, period), &(secs, _)) in steady_grid.iter().zip(&steady_times) {
-        let label = static_label(kernel, deposit, period);
+    for (&period, &(secs, _)) in PERIODS.iter().zip(&steady_times) {
+        let label = static_label(period);
         if secs < best_static {
             best_static = secs;
             best_label = label.clone();
@@ -211,14 +212,12 @@ fn run() -> Result<(), PicError> {
         "steady".into(),
         format!("best static {best_label}"),
         format!("{best_static:.4}"),
-        "-".into(),
         "baseline".into(),
     ]);
     table.row(&[
         "steady".into(),
-        "adaptive".into(),
+        "scheduled".into(),
         format!("{steady_secs:.4}"),
-        format!("{}", steady_events.len()),
         format!("{:.1}% of best", steady_ratio * 100.0),
     ]);
     // ---------------- drift: two-stream + injection disorder ----------------
@@ -231,31 +230,17 @@ fn run() -> Result<(), PicError> {
     let steady_phase = steps / 3;
     let drift_phase = steps - steady_phase;
     let shuffle_every = 24usize;
+    let min_spacing = ControllerConfig::default().min_sort_spacing;
 
-    // The gate compares the *drifting phase alone*: the adaptive run
-    // starts from a deliberately poor configuration (scalar kernel, block
-    // deposit) and spends its quiet phase calibrating out of it, so the
-    // quiet phase demonstrates adaptation while the drift phase answers
-    // the sort-period question on equal footing — by the time drift sets
-    // in, every competitor (static or adaptive) runs lanes/lane_reduce
-    // and differs only in *when* it sorts.
-    let drift_periods = [0usize, 8, 16, 32, 64];
-    let mut drift_cfgs: Vec<PicConfig> = drift_periods
-        .iter()
-        .map(|&period| {
-            let mut cfg = drift_base.clone();
-            cfg.sort_period = period;
-            cfg
-        })
-        .collect();
-    let mut drift_adaptive = drift_base.clone();
-    drift_adaptive.kernel_path = KernelPath::Scalar;
-    drift_adaptive.deposit_path = DepositPath::SortedBlock;
-    drift_adaptive.controller = Some(ControllerConfig::default());
-    drift_cfgs.push(drift_adaptive);
-    let (drift_times, mut drift_event_sets) =
-        timed_set(&drift_cfgs, reps, steady_phase, drift_phase, shuffle_every)?;
-    let drift_events = drift_event_sets.pop().unwrap_or_default();
+    // The gate compares the *drifting phase alone*: every competitor runs
+    // the same hot path and differs only in *when* it sorts.
+    let (drift_times, delays) = timed_set(
+        &competitors(&drift_base),
+        reps,
+        steady_phase,
+        drift_phase,
+        shuffle_every,
+    )?;
     let (adaptive_quiet, drift_secs) = *drift_times.last().unwrap_or(&(f64::NAN, f64::NAN));
     let adaptive_total = adaptive_quiet + drift_secs;
 
@@ -263,8 +248,8 @@ fn run() -> Result<(), PicError> {
     let mut best_drift_label = String::new();
     let mut best_drift_total = f64::INFINITY;
     let mut drift_json: Vec<(String, Json)> = Vec::new();
-    for (&period, &(quiet, drift)) in drift_periods.iter().zip(&drift_times) {
-        let label = static_label(drift_base.kernel_path, drift_base.deposit_path, period);
+    for (&period, &(quiet, drift)) in PERIODS.iter().zip(&drift_times) {
+        let label = static_label(period);
         if drift < best_drift {
             best_drift = drift;
             best_drift_label = label.clone();
@@ -282,46 +267,20 @@ fn run() -> Result<(), PicError> {
         "drift".into(),
         format!("best static {best_drift_label}"),
         format!("{best_drift:.4}"),
-        "-".into(),
         "baseline (drift phase)".into(),
     ]);
     table.row(&[
         "drift".into(),
-        "adaptive (from scalar/sorted_block)".into(),
+        "scheduled".into(),
         format!("{drift_secs:.4}"),
-        format!("{}", drift_events.len()),
-        format!("{:.1}% of best (drift phase)", drift_secs / best_drift * 100.0),
+        format!(
+            "{:.1}% of best (drift phase)",
+            drift_secs / best_drift * 100.0
+        ),
     ]);
-    // ---------------- every switch ledgered + streamed ----------------
-    let mut log = FaultLog::new();
-    let mut stream = DiagStream::new(Vec::new());
-    for ev in steady_events.iter().chain(&drift_events) {
-        log.record(
-            ev.step,
-            0,
-            0,
-            FaultKind::Adapt,
-            format!("{} {} -> {}", ev.what, ev.from, ev.to),
-        );
-        stream.record_adapt(None, ev);
-    }
-    stream.commit().map_err(|e| PicError::Config(e.to_string()))?;
-    let total_switches = steady_events.len() + drift_events.len();
-    gate(
-        log.count(FaultKind::Adapt) == total_switches,
-        "ledger lost adapt records",
-    )?;
-    gate(
-        stream.committed_records() == total_switches as u64,
-        "diag stream lost adapt records",
-    )?;
-    let stream_bytes = String::from_utf8(stream.into_inner()).unwrap_or_default();
-    gate(
-        stream_bytes.lines().all(|l| l.contains("\"adapt\"")),
-        "diag stream emitted a non-adapt line",
-    )?;
-
     table.print();
+    println!("sort delay after each injection (steps): {delays:?}");
+
     let json = Json::obj([
         ("particles", Json::Int(n as i64)),
         ("steps", Json::Int(steps as i64)),
@@ -338,7 +297,6 @@ fn run() -> Result<(), PicError> {
                 ("best_static_secs", Json::Num(best_static)),
                 ("adaptive_secs", Json::Num(steady_secs)),
                 ("adaptive_over_best", Json::Num(steady_ratio)),
-                ("switches", Json::Int(steady_events.len() as i64)),
             ]),
         ),
         (
@@ -354,25 +312,37 @@ fn run() -> Result<(), PicError> {
                 ("adaptive_drift_secs", Json::Num(drift_secs)),
                 ("adaptive_total_secs", Json::Num(adaptive_total)),
                 ("adaptive_over_best", Json::Num(drift_secs / best_drift)),
-                ("switches", Json::Int(drift_events.len() as i64)),
                 ("shuffle_every", Json::Int(shuffle_every as i64)),
+                ("min_sort_spacing", Json::Int(min_spacing as i64)),
+                (
+                    "sort_delays",
+                    Json::Arr(
+                        delays
+                            .iter()
+                            .map(|d| d.map_or(Json::Null, |k| Json::Int(k as i64)))
+                            .collect(),
+                    ),
+                ),
             ]),
-        ),
-        ("switches_ledgered", Json::Int(total_switches as i64)),
-        (
-            "diag_stream_sample",
-            Json::s(stream_bytes.lines().next().unwrap_or("")),
         ),
     ]);
     let path = results_path("BENCH_adaptive.json");
     write_json_file(&path, &json).map_err(|e| PicError::Config(e.to_string()))?;
     println!("wrote {}", path.display());
 
-    // Timing gates last, after the numbers are on disk for post-mortems.
+    // The decision gate first (deterministic), then the timing gates, all
+    // after the numbers are on disk for post-mortems.
+    gate(
+        !delays.is_empty() && delays.iter().all(|d| d.is_some_and(|k| k <= min_spacing)),
+        &format!(
+            "drift: the scheduler must sort within {min_spacing} steps of every \
+             injection (delays {delays:?})"
+        ),
+    )?;
     gate(
         steady_secs <= best_static * (1.0 + tolerance / 100.0),
         &format!(
-            "steady: adaptive {steady_secs:.4}s vs best static {best_label} \
+            "steady: scheduled {steady_secs:.4}s vs best static {best_label} \
              {best_static:.4}s ({:.1}% over, tolerance {tolerance}%)",
             (steady_ratio - 1.0) * 100.0
         ),
@@ -380,13 +350,9 @@ fn run() -> Result<(), PicError> {
     gate(
         drift_secs < best_drift,
         &format!(
-            "drift: adaptive drift-phase {drift_secs:.4}s must beat best \
+            "drift: scheduled drift-phase {drift_secs:.4}s must beat best \
              static sort period ({best_drift_label} at {best_drift:.4}s)"
         ),
-    )?;
-    gate(
-        !drift_events.is_empty(),
-        "drift: the controller applied no switches — nothing was adapted",
     )?;
     Ok(())
 }

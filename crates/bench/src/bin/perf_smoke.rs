@@ -1,8 +1,8 @@
 //! Perf smoke test — the quick gate `scripts/check.sh` runs after the
 //! functional suites: time the lane-blocked kernels against their scalar
 //! twins on a small population and fail if the lane path has regressed
-//! below scalar, then check that the adaptive controller's settled
-//! steady-state pick is never worse than the static all-scalar baseline.
+//! below scalar, and that the vectorized `LaneReduce` deposit beats the
+//! scalar exact deposit.
 //!
 //! Usage: perf_smoke [--particles N] [--reps R] [--tolerance PCT]
 //!
@@ -15,12 +15,10 @@
 
 use pic_bench::cli::Args;
 use pic_bench::harness::black_box;
-use pic_core::control::ControllerConfig;
 use pic_core::fields::RedundantRho;
 use pic_core::grid::Grid2D;
 use pic_core::kernels::{accumulate, deposit, position, simd};
 use pic_core::particles::{initialize, InitialDistribution, ParticlesSoA};
-use pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
 use pic_core::sort::sort_out_of_place;
 use pic_core::PicError;
 use sfc::{CellLayout, RowMajor};
@@ -130,51 +128,14 @@ fn run() -> Result<(), PicError> {
         });
         gate("accumulate", scalar, lanes);
 
-        // Vectorized deposition: the best reassociated path must beat the
+        // Vectorized deposition: the reassociated path must beat the
         // scalar exact kernel (the whole point of DepositPath — anything
-        // else means the lane-reduction/run-walk codegen regressed).
+        // else means the lane-reduction codegen regressed).
         let lane_reduce = min_time(reps, || {
             deposit::accumulate_lane_reduce(&base.icell, &base.dx, &base.dy, &mut acc.rho4, 1.0);
             black_box(acc.rho4[0][0]);
         });
-        let sorted_block = min_time(reps, || {
-            deposit::accumulate_sorted_block(&base.icell, &base.dx, &base.dy, &mut acc.rho4, 1.0);
-            black_box(acc.rho4[0][0]);
-        });
-        gate("deposit_vectorized", scalar, lane_reduce.min(sorted_block));
-    }
-
-    // Adaptive controller: after the calibration bootstrap settles, the
-    // hot path the controller picked must never run worse than the static
-    // all-scalar baseline — a wrong steady-state pick (stale probe, bad
-    // deposit hysteresis) shows up here as a regression.
-    {
-        let settle = 20_usize;
-        let window = 25_usize;
-        let step_window = |sim: &mut Simulation, reps: usize| {
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t = Instant::now();
-                for _ in 0..window {
-                    sim.step();
-                }
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let mut cfg = PicConfig::landau_table1(n);
-        cfg.kernel_path = KernelPath::Scalar;
-        cfg.deposit_path = DepositPath::Exact;
-        let mut baseline = Simulation::new(cfg.clone())?;
-        cfg.controller = Some(ControllerConfig::default());
-        let mut adaptive = Simulation::new(cfg)?;
-        for _ in 0..settle {
-            baseline.step();
-            adaptive.step();
-        }
-        let scalar = step_window(&mut baseline, reps);
-        let picked = step_window(&mut adaptive, reps);
-        gate("adaptive_pick", scalar, picked);
+        gate("deposit_vectorized", scalar, lane_reduce);
     }
 
     if failed {

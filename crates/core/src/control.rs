@@ -1,44 +1,22 @@
-//! Online adaptive hot-path control — the runtime half of the paper's
-//! §IV-E future work ("automatic finding of this optimal number" of steps
-//! between sorts), done as a closed loop instead of the stop-the-world
-//! trial windows in [`crate::autotune`].
+//! Disorder-driven sort scheduling — the paper's §IV-E future work
+//! ("automatic finding of this optimal number" of steps between sorts),
+//! done as a closed loop on the live run.
 //!
-//! The loop observes two cheap per-step signals:
+//! Each step the scheduler samples a cheap **particle-disorder metric**
+//! from the `icell` array: the fraction of non-monotone (descending)
+//! transitions between consecutive particles and the normalized *mean jump
+//! distance* between them (the component that actually prices cache
+//! distance in the field arrays). [`HotPathController`] sorts when the
+//! EWMA of the mean jump crosses a threshold, bounded by a minimum and
+//! maximum spacing.
 //!
-//! * a **particle-disorder metric** sampled from the `icell` array — the
-//!   fraction of non-monotone (descending) transitions between consecutive
-//!   particles, the normalized *mean jump distance* between consecutive
-//!   particles (the component that actually prices cache distance in the
-//!   field arrays), plus the fraction of lane blocks whose eight entries
-//!   share one cell (the structure the sorted-batch deposit exploits);
-//! * **EWMA'd per-phase wall times** of the particle loops, attributed to
-//!   the kernel arm that ran them.
-//!
-//! [`HotPathController`] maps the signals to `(KernelPath, DepositPath,
-//! sort-now)` decisions with hysteresis, applied only at sort boundaries:
-//!
-//! * **Sorting** is triggered when the disorder EWMA crosses a threshold
-//!   (bounded by a minimum and maximum spacing) — a deterministic function
-//!   of the particle trajectory, never of wall time, so a checkpointed run
-//!   replays the same sort schedule bit-for-bit.
-//! * **DepositPath** follows the uniform-block fraction through a
-//!   two-threshold hysteresis band with a patience counter, so it never
-//!   oscillates; the decision inputs are again deterministic. Runs that
-//!   must stay bit-exact pin the deposit
-//!   ([`ControllerConfig::allow_deposit_switch`] = false).
-//! * **KernelPath** is the only knob driven by measured wall time: the
-//!   controller periodically probes the other arm for one inter-sort
-//!   window and switches when the probe beats the incumbent by a margin.
-//!   The two arms are bit-identical, so timing noise can never change the
-//!   physics — only the speed.
-//!
-//! Every applied switch is returned as a [`SwitchEvent`] for the caller to
-//! ledger through [`crate::faultlog::FaultLog`] /
-//! [`crate::diag::DiagStream`]. Controller state serializes into the
-//! checkpoint ([`HotPathController::encode_state`]), so a restored run
-//! resumes the last decision and — in deterministic mode
-//! ([`ControllerConfig::deterministic`]) — replays bit-identically.
+//! The decision is a deterministic function of the particle trajectory,
+//! never of wall time, so a checkpointed run replays the same sort
+//! schedule bit-for-bit. The kernel and deposit paths stay the ones the
+//! controller was built with. The scheduler state serializes into the
+//! checkpoint ([`HotPathController::encode_state`]).
 
+use crate::resilience::checkpoint::HotPathMeta;
 use crate::sim::{DepositPath, KernelPath};
 use crate::PicError;
 
@@ -67,10 +45,6 @@ pub struct Disorder {
     /// descent fraction cannot: it saturates near `0.5` within a step or
     /// two of any sort at realistic particle densities.
     pub jump_frac: f64,
-    /// Fraction of examined full lane blocks whose [`LANE_BLOCK`] entries
-    /// all share one cell, in `[0, 1]` — the run structure the
-    /// [`DepositPath::SortedBlock`] kernel amortizes.
-    pub uniform_block_frac: f64,
 }
 
 impl Disorder {
@@ -78,7 +52,6 @@ impl Disorder {
     pub const NONE: Disorder = Disorder {
         descent_frac: 0.0,
         jump_frac: 0.0,
-        uniform_block_frac: 0.0,
     };
 }
 
@@ -101,33 +74,18 @@ pub fn measure_disorder_with(
     let mut pairs = 0u64;
     let mut descents = 0u64;
     let mut jump = 0u64;
-    let mut full_blocks = 0u64;
-    let mut uniform = 0u64;
     let mut o = 0usize;
     while o + 1 < n {
         let end = (o + LANE_BLOCK).min(n - 1); // pairs (i, i+1) for i in o..end
-        let full = o + LANE_BLOCK <= n;
         let mut prev = at(o);
-        let mut all_eq = true;
         for i in o + 1..=end {
             let c = at(i);
             if c < prev {
                 descents += 1;
             }
             jump += c.abs_diff(prev) as u64;
-            // Uniformity is judged over the block's LANE_BLOCK entries
-            // only (the window's extra pair belongs to the next block).
-            if i < o + LANE_BLOCK && c != prev {
-                all_eq = false;
-            }
             pairs += 1;
             prev = c;
-        }
-        if full {
-            full_blocks += 1;
-            if all_eq {
-                uniform += 1;
-            }
         }
         o += LANE_BLOCK * stride;
     }
@@ -135,11 +93,6 @@ pub fn measure_disorder_with(
     Disorder {
         descent_frac: descents as f64 / pairs as f64,
         jump_frac: (JUMP_FULL_MIX * mean_jump / cells.max(1) as f64).min(1.0),
-        uniform_block_frac: if full_blocks == 0 {
-            0.0
-        } else {
-            uniform as f64 / full_blocks as f64
-        },
     }
 }
 
@@ -148,7 +101,9 @@ pub fn measure_disorder(icell: &[u32], stride: usize, cells: usize) -> Disorder 
     measure_disorder_with(icell.len(), stride, cells, |i| icell[i])
 }
 
-/// Tuning knobs of the [`HotPathController`].
+/// Tuning knobs of the [`HotPathController`]. The default profile is
+/// deterministic: the sort schedule depends only on the particle
+/// trajectory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ControllerConfig {
     /// Sort when the disorder EWMA (fed by the normalized mean jump,
@@ -167,7 +122,7 @@ pub struct ControllerConfig {
     /// slowly drifting population cannot decay indefinitely below the
     /// threshold while locality erodes.
     pub max_sort_spacing: usize,
-    /// EWMA smoothing factor in `(0, 1]` for all signal averages.
+    /// EWMA smoothing factor in `(0, 1]` for the disorder average.
     pub alpha: f64,
     /// Disorder sampling stride in lane blocks (1 = full scan; larger
     /// strides sample a `1/stride` subset). The observation runs every
@@ -177,39 +132,6 @@ pub struct ControllerConfig {
     /// jump converges with a few tens of thousands of sampled pairs, so
     /// the default is coarse.
     pub stride: usize,
-    /// Allow the controller to move between the reassociated deposit
-    /// kernels. `false` pins the deposit configured at construction —
-    /// required for `Exact`-path runs that must stay bit-identical to the
-    /// scalar accumulation order.
-    pub allow_deposit_switch: bool,
-    /// Uniform-block EWMA at or above which [`DepositPath::SortedBlock`]
-    /// is preferred.
-    pub uniform_hi: f64,
-    /// Uniform-block EWMA at or below which [`DepositPath::LaneReduce`] is
-    /// preferred. Between the two thresholds the current deposit is kept
-    /// (the hysteresis band).
-    pub uniform_lo: f64,
-    /// Consecutive sort boundaries that must agree on a different deposit
-    /// before it is switched (patience — no oscillation on a noisy
-    /// boundary signal).
-    pub deposit_patience: u32,
-    /// Feed measured wall times into the kernel-arm decision. `false` is
-    /// the fully deterministic mode: the kernel arm never changes, and the
-    /// serialized controller state is a pure function of the particle
-    /// trajectory (checkpoints of a forked run stay byte-identical).
-    pub use_timing: bool,
-    /// Probe the other kernel arm for one inter-sort window every this
-    /// many sorts (timing mode only).
-    pub probe_period: u32,
-    /// Cap a probe's inter-sort window at this many steps: an active probe
-    /// forces an early sort boundary once the cap is reached, so the cost
-    /// of measuring the slower arm is bounded even when the steady-state
-    /// sort spacing is long. Probe *starts* are counter-scheduled, so this
-    /// keeps the sort schedule independent of measured times.
-    pub probe_window: u32,
-    /// Relative per-step advantage a probed arm needs before the
-    /// controller switches to it (hysteresis against timing noise).
-    pub kernel_margin: f64,
 }
 
 impl Default for ControllerConfig {
@@ -220,129 +142,54 @@ impl Default for ControllerConfig {
             max_sort_spacing: 128,
             alpha: 0.35,
             stride: 32,
-            allow_deposit_switch: true,
-            uniform_hi: 0.55,
-            uniform_lo: 0.30,
-            deposit_patience: 2,
-            use_timing: true,
-            probe_period: 12,
-            probe_window: 4,
-            kernel_margin: 0.05,
         }
     }
 }
 
-impl ControllerConfig {
-    /// The fully deterministic profile: disorder-driven sorting and
-    /// deposit selection, kernel arm pinned (no timing inputs). A run
-    /// under this profile replays bit-identically from any checkpoint,
-    /// including checkpoints taken mid-adaptation.
-    pub fn deterministic() -> Self {
-        Self {
-            use_timing: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// One applied hot-path switch, for the fault ledger and the diagnostics
-/// stream.
+/// A hot-path switch. The scheduler never switches the kernel or deposit
+/// path, so none is ever produced; the type stays the element of the
+/// (always empty) `take_hot_path_events` list that the benchmark driver
+/// still counts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SwitchEvent {
-    /// Simulation step at which the switch was applied (a sort boundary).
-    pub step: u64,
-    /// Which knob switched: `"kernel"` or `"deposit"`.
-    pub what: &'static str,
-    /// Previous value (stable lowercase name).
-    pub from: &'static str,
-    /// New value (stable lowercase name).
-    pub to: &'static str,
-    /// Disorder EWMA at the decision.
-    pub disorder: f64,
-    /// Uniform-block EWMA at the decision.
-    pub uniform: f64,
-    /// Steps between the two most recent sorts (the realized period).
-    pub period: u64,
-}
+pub struct SwitchEvent;
 
-/// Stable lowercase name of a kernel path (ledger vocabulary).
-pub fn kernel_name(p: KernelPath) -> &'static str {
-    match p {
-        KernelPath::Scalar => "scalar",
-        KernelPath::Lanes => "lanes",
-    }
-}
-
-/// Stable lowercase name of a deposit path (ledger vocabulary).
-pub fn deposit_name(p: DepositPath) -> &'static str {
-    match p {
-        DepositPath::Exact => "exact",
-        DepositPath::LaneReduce => "lane_reduce",
-        DepositPath::SortedBlock => "sorted_block",
-    }
-}
-
-fn arm_index(p: KernelPath) -> usize {
-    match p {
-        KernelPath::Scalar => 0,
-        KernelPath::Lanes => 1,
-    }
-}
-
-fn other_arm(p: KernelPath) -> KernelPath {
-    match p {
-        KernelPath::Scalar => KernelPath::Lanes,
-        KernelPath::Lanes => KernelPath::Scalar,
-    }
-}
-
-/// The online controller. One per simulation (per rank in decomposed
-/// runs — each rank adapts to its own subdomain's disorder).
+/// The sort scheduler. One per simulation (per rank in decomposed runs —
+/// each rank follows its own subdomain's disorder).
 #[derive(Debug, Clone)]
 pub struct HotPathController {
     cfg: ControllerConfig,
-    /// Committed kernel arm (what runs outside probe windows).
     kernel: KernelPath,
-    /// Committed deposit path.
     deposit: DepositPath,
-    /// Arm running a probe window, if one is active.
-    probe_arm: Option<KernelPath>,
     steps_since_sort: u64,
     /// EWMA normalized-mean-jump since the last sort (see
     /// [`Disorder::jump_frac`]).
     disorder: f64,
-    /// EWMA uniform-block fraction.
-    uniform: f64,
-    /// EWMA per-step particle-loop seconds per kernel arm.
-    arm_secs: [f64; 2],
-    arm_seen: [bool; 2],
-    deposit_candidate: DepositPath,
-    deposit_streak: u32,
-    sorts_since_probe: u32,
     /// Steps between the two most recent sorts.
     last_period: u64,
-    events: Vec<SwitchEvent>,
 }
 
 impl HotPathController {
-    /// Build a controller starting from the configured hot-path knobs.
+    /// Build a scheduler for a run on the given kernel and deposit paths.
     pub fn new(cfg: ControllerConfig, kernel: KernelPath, deposit: DepositPath) -> Self {
         Self {
             cfg,
             kernel,
             deposit,
-            probe_arm: None,
             steps_since_sort: 0,
             disorder: 0.0,
-            uniform: 0.0,
-            arm_secs: [0.0; 2],
-            arm_seen: [false; 2],
-            deposit_candidate: deposit,
-            deposit_streak: 0,
-            sorts_since_probe: 0,
             last_period: 0,
-            events: Vec::new(),
         }
+    }
+
+    /// Rebuild a scheduler from a snapshot's hot-path metadata: on the
+    /// recorded paths, resuming the recorded state (an empty blob — a
+    /// snapshot taken without a controller — starts it fresh).
+    pub fn resume(cfg: ControllerConfig, meta: &HotPathMeta) -> Result<Self, PicError> {
+        let mut c = Self::new(cfg, meta.kernel_path, meta.deposit_path);
+        if !meta.controller.is_empty() {
+            c.restore_state(&meta.controller)?;
+        }
+        Ok(c)
     }
 
     /// The controller's configuration.
@@ -359,148 +206,26 @@ impl HotPathController {
         if since < self.cfg.min_sort_spacing.max(1) as u64 {
             return false;
         }
-        // Calibration bootstrap (timing mode): until both kernel arms have
-        // been measured once, sort at the minimum spacing so the probe
-        // machinery gets its first samples within a few windows instead of
-        // waiting out a long steady-state spacing. Which arms have run is
-        // itself counter-scheduled, so this stays replay-deterministic.
-        if self.cfg.use_timing && !(self.arm_seen[0] && self.arm_seen[1]) {
-            return true;
-        }
-        // A running probe ends at the next boundary, so cap its window:
-        // the slower arm never runs longer than `probe_window` steps.
-        // Probe starts are counter-scheduled, so the sort schedule stays
-        // independent of the measured wall times.
-        if self.probe_arm.is_some() && since >= self.cfg.probe_window.max(1) as u64 {
-            return true;
-        }
         if self.cfg.max_sort_spacing > 0 && since >= self.cfg.max_sort_spacing as u64 {
             return true;
         }
         self.disorder >= self.cfg.sort_threshold
     }
 
-    /// Commit decisions at a sort boundary (call right after the sort
-    /// ran). Returns the `(KernelPath, DepositPath)` to run the coming
-    /// inter-sort window with — the kernel may be a probe arm.
-    pub fn on_sort(&mut self, step: u64) -> (KernelPath, DepositPath) {
+    /// Record a sort (call right after it ran).
+    pub fn on_sort(&mut self) {
         self.last_period = self.steps_since_sort;
         self.steps_since_sort = 0;
         // The population is sorted now: the accumulated disorder is gone.
         self.disorder = 0.0;
-
-        self.decide_deposit(step);
-        self.decide_kernel(step);
-        (self.probe_arm.unwrap_or(self.kernel), self.deposit)
     }
 
-    fn decide_deposit(&mut self, step: u64) {
-        if !self.cfg.allow_deposit_switch {
-            return;
-        }
-        let desired = if self.uniform >= self.cfg.uniform_hi {
-            DepositPath::SortedBlock
-        } else if self.uniform <= self.cfg.uniform_lo {
-            DepositPath::LaneReduce
-        } else {
-            self.deposit // inside the hysteresis band: keep
-        };
-        if desired == self.deposit {
-            self.deposit_candidate = self.deposit;
-            self.deposit_streak = 0;
-            return;
-        }
-        if desired == self.deposit_candidate {
-            self.deposit_streak += 1;
-        } else {
-            self.deposit_candidate = desired;
-            self.deposit_streak = 1;
-        }
-        if self.deposit_streak >= self.cfg.deposit_patience.max(1) {
-            self.events.push(SwitchEvent {
-                step,
-                what: "deposit",
-                from: deposit_name(self.deposit),
-                to: deposit_name(desired),
-                disorder: self.disorder,
-                uniform: self.uniform,
-                period: self.last_period,
-            });
-            self.deposit = desired;
-            self.deposit_streak = 0;
-            // The kernel-arm timings were measured under the old deposit
-            // path and can rank the arms differently under the new one
-            // (SortedBlock can make Lanes a net loss while LaneReduce makes
-            // it a clear win). Drop them so the calibration bootstrap
-            // re-measures both arms under the deposit that will actually
-            // run, instead of trusting a cross-path comparison.
-            if self.cfg.use_timing {
-                self.arm_secs = [0.0; 2];
-                self.arm_seen = [false; 2];
-            }
-        }
-    }
-
-    fn decide_kernel(&mut self, step: u64) {
-        if !self.cfg.use_timing {
-            return;
-        }
-        if let Some(probed) = self.probe_arm.take() {
-            // A probe window just finished; its EWMA is fresh. Switch only
-            // on a sustained margin over the incumbent.
-            let cur = self.arm_secs[arm_index(self.kernel)];
-            let alt = self.arm_secs[arm_index(probed)];
-            if self.arm_seen[0]
-                && self.arm_seen[1]
-                && alt < cur * (1.0 - self.cfg.kernel_margin)
-                && probed != self.kernel
-            {
-                self.events.push(SwitchEvent {
-                    step,
-                    what: "kernel",
-                    from: kernel_name(self.kernel),
-                    to: kernel_name(probed),
-                    disorder: self.disorder,
-                    uniform: self.uniform,
-                    period: self.last_period,
-                });
-                self.kernel = probed;
-            }
-        } else {
-            self.sorts_since_probe += 1;
-            let incumbent_seen = self.arm_seen[arm_index(self.kernel)];
-            let alt_seen = self.arm_seen[arm_index(other_arm(self.kernel))];
-            let due = self.sorts_since_probe >= self.cfg.probe_period.max(1);
-            // Probe as soon as the incumbent has a fresh baseline while the
-            // other arm is unmeasured (calibration — also re-entered after a
-            // deposit switch drops stale timings), on the regular cadence
-            // afterwards. Never launch a probe before the incumbent has been
-            // measured: the comparison at the end of the window would be
-            // discarded and the probe wasted.
-            if incumbent_seen && (due || !alt_seen) {
-                self.sorts_since_probe = 0;
-                self.probe_arm = Some(other_arm(self.kernel));
-            }
-        }
-    }
-
-    /// Feed one step's observations: the sampled disorder and the wall
-    /// seconds the particle loops took. Call after the particle loops of
+    /// Feed one step's disorder sample. Call after the particle loops of
     /// every step.
-    pub fn observe(&mut self, d: Disorder, particle_secs: f64) {
+    pub fn observe(&mut self, d: Disorder) {
         self.steps_since_sort += 1;
         let a = self.cfg.alpha.clamp(1e-6, 1.0);
         self.disorder += a * (d.jump_frac - self.disorder);
-        self.uniform += a * (d.uniform_block_frac - self.uniform);
-        if self.cfg.use_timing {
-            let arm = arm_index(self.probe_arm.unwrap_or(self.kernel));
-            if self.arm_seen[arm] {
-                self.arm_secs[arm] += a * (particle_secs - self.arm_secs[arm]);
-            } else {
-                self.arm_secs[arm] = particle_secs;
-                self.arm_seen[arm] = true;
-            }
-        }
     }
 
     /// Notify the controller that an external mechanism (rank migration,
@@ -511,12 +236,12 @@ impl HotPathController {
         self.disorder = 1.0;
     }
 
-    /// Committed kernel arm (ignoring any active probe window).
+    /// The kernel path the controller was built with.
     pub fn kernel(&self) -> KernelPath {
         self.kernel
     }
 
-    /// Committed deposit path.
+    /// The deposit path the controller was built with.
     pub fn deposit(&self) -> DepositPath {
         self.deposit
     }
@@ -524,11 +249,6 @@ impl HotPathController {
     /// Current disorder EWMA.
     pub fn disorder(&self) -> f64 {
         self.disorder
-    }
-
-    /// Current uniform-block EWMA.
-    pub fn uniform(&self) -> f64 {
-        self.uniform
     }
 
     /// Steps between the two most recent sorts — the realized (adaptive)
@@ -542,46 +262,26 @@ impl HotPathController {
         self.steps_since_sort
     }
 
-    /// Drain the switch events applied since the last call, oldest first.
-    pub fn take_events(&mut self) -> Vec<SwitchEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     // ---------------- checkpoint state ----------------
 
-    /// Serialize the decision state (EWMAs, counters, committed knobs)
-    /// into a little-endian blob for the checkpoint's hot-path metadata.
-    /// In deterministic mode the blob is a pure function of the particle
-    /// trajectory; in timing mode it additionally carries the wall-time
-    /// EWMAs (which restore the kernel preference but are not replayable
-    /// bit-for-bit across machines).
+    /// Serialize the scheduler state (spacing counters and the disorder
+    /// EWMA) into a little-endian blob for the checkpoint's hot-path
+    /// metadata. The blob is a pure function of the particle trajectory.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(CTRL_STATE_LEN);
         b.push(CTRL_STATE_VERSION);
-        b.push(arm_index(self.kernel) as u8);
-        b.push(deposit_code(self.deposit));
-        b.push(match self.probe_arm {
-            None => u8::MAX,
-            Some(p) => arm_index(p) as u8,
-        });
-        b.push(deposit_code(self.deposit_candidate));
-        b.extend_from_slice(&self.deposit_streak.to_le_bytes());
-        b.extend_from_slice(&self.sorts_since_probe.to_le_bytes());
         b.extend_from_slice(&self.steps_since_sort.to_le_bytes());
         b.extend_from_slice(&self.last_period.to_le_bytes());
         b.extend_from_slice(&self.disorder.to_bits().to_le_bytes());
-        b.extend_from_slice(&self.uniform.to_bits().to_le_bytes());
-        for s in self.arm_secs {
-            b.extend_from_slice(&s.to_bits().to_le_bytes());
-        }
-        b.push(self.arm_seen[0] as u8);
-        b.push(self.arm_seen[1] as u8);
         b
     }
 
-    /// Restore the decision state from an [`encode_state`] blob
+    /// Restore the scheduler state from an [`encode_state`] blob
     /// (configuration is not serialized — it comes from the owning
-    /// config's controller profile).
+    /// config's controller profile). A rejected blob leaves `self`
+    /// untouched.
+    ///
+    /// [`encode_state`]: Self::encode_state
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), PicError> {
         if bytes.len() != CTRL_STATE_LEN {
             return Err(PicError::Checkpoint(format!(
@@ -595,61 +295,18 @@ impl HotPathController {
                 bytes[0]
             )));
         }
-        let kernel = arm_from_code(bytes[1])?;
-        let deposit = deposit_from_code(bytes[2])?;
-        let probe_arm = match bytes[3] {
-            u8::MAX => None,
-            c => Some(arm_from_code(c)?),
-        };
-        let deposit_candidate = deposit_from_code(bytes[4])?;
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let f64_at = |o: usize| f64::from_bits(u64_at(o));
-        self.kernel = kernel;
-        self.deposit = deposit;
-        self.probe_arm = probe_arm;
-        self.deposit_candidate = deposit_candidate;
-        self.deposit_streak = u32_at(5);
-        self.sorts_since_probe = u32_at(9);
-        self.steps_since_sort = u64_at(13);
-        self.last_period = u64_at(21);
-        self.disorder = f64_at(29);
-        self.uniform = f64_at(37);
-        self.arm_secs = [f64_at(45), f64_at(53)];
-        self.arm_seen = [bytes[61] != 0, bytes[62] != 0];
-        self.events.clear();
+        self.steps_since_sort = u64_at(1);
+        self.last_period = u64_at(9);
+        self.disorder = f64::from_bits(u64_at(17));
         Ok(())
     }
 }
 
 /// Serialized controller-state length ([`HotPathController::encode_state`]).
-pub const CTRL_STATE_LEN: usize = 63;
-const CTRL_STATE_VERSION: u8 = 1;
-
-fn deposit_code(p: DepositPath) -> u8 {
-    match p {
-        DepositPath::Exact => 0,
-        DepositPath::LaneReduce => 1,
-        DepositPath::SortedBlock => 2,
-    }
-}
-
-fn deposit_from_code(c: u8) -> Result<DepositPath, PicError> {
-    match c {
-        0 => Ok(DepositPath::Exact),
-        1 => Ok(DepositPath::LaneReduce),
-        2 => Ok(DepositPath::SortedBlock),
-        _ => Err(PicError::Checkpoint(format!("bad deposit code {c}"))),
-    }
-}
-
-fn arm_from_code(c: u8) -> Result<KernelPath, PicError> {
-    match c {
-        0 => Ok(KernelPath::Scalar),
-        1 => Ok(KernelPath::Lanes),
-        _ => Err(PicError::Checkpoint(format!("bad kernel code {c}"))),
-    }
-}
+pub const CTRL_STATE_LEN: usize = 25;
+/// Version 2 dropped the kernel/deposit switching state of version 1.
+const CTRL_STATE_VERSION: u8 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -657,19 +314,12 @@ mod tests {
 
     #[test]
     fn sorted_population_has_zero_descents() {
-        // Run length 3 (< LANE_BLOCK): sorted, but no block is uniform.
-        let icell: Vec<u32> = (0..1000).map(|i| i / 3).collect();
-        let d = measure_disorder(&icell, 1, 1024);
-        assert_eq!(d.descent_frac, 0.0);
-        assert!(d.jump_frac < 0.01, "sorted jumps are tiny: {}", d.jump_frac);
-        assert_eq!(d.uniform_block_frac, 0.0);
-
-        // Run length 16 (≥ LANE_BLOCK): sorted and mostly uniform blocks.
-        let icell: Vec<u32> = (0..1000).map(|i| i / 16).collect();
-        let d = measure_disorder(&icell, 1, 1024);
-        assert_eq!(d.descent_frac, 0.0);
-        assert!(d.jump_frac < 0.01);
-        assert!(d.uniform_block_frac > 0.0);
+        for run in [3, 16] {
+            let icell: Vec<u32> = (0..1000).map(|i| i / run).collect();
+            let d = measure_disorder(&icell, 1, 1024);
+            assert_eq!(d.descent_frac, 0.0);
+            assert!(d.jump_frac < 0.01, "sorted jumps are tiny: {}", d.jump_frac);
+        }
     }
 
     #[test]
@@ -679,7 +329,6 @@ mod tests {
         assert_eq!(d.descent_frac, 1.0);
         // Every jump is one cell: fully descending, but locality is fine.
         assert!(d.jump_frac < 0.01);
-        assert_eq!(d.uniform_block_frac, 0.0);
     }
 
     #[test]
@@ -704,15 +353,13 @@ mod tests {
 
     #[test]
     fn strided_sampling_stays_bounded() {
-        let icell: Vec<u32> = (0..997u32).map(|i| i.wrapping_mul(2654435761) % 64).collect();
+        let icell: Vec<u32> = (0..997u32)
+            .map(|i| i.wrapping_mul(2654435761) % 64)
+            .collect();
         for stride in [1, 2, 4, 16] {
             let d = measure_disorder(&icell, stride, 64);
             assert!((0.0..=1.0).contains(&d.descent_frac), "stride={stride}");
             assert!((0.0..=1.0).contains(&d.jump_frac), "stride={stride}");
-            assert!(
-                (0.0..=1.0).contains(&d.uniform_block_frac),
-                "stride={stride}"
-            );
         }
     }
 
@@ -723,14 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_blocks_counted_on_constant_population() {
-        let icell = vec![5u32; 64];
-        let d = measure_disorder(&icell, 1, 64);
-        assert_eq!(d.descent_frac, 0.0);
-        assert_eq!(d.uniform_block_frac, 1.0);
-    }
-
-    #[test]
     fn sort_decision_respects_spacing_bounds() {
         let mut c = HotPathController::new(
             ControllerConfig {
@@ -738,7 +377,6 @@ mod tests {
                 min_sort_spacing: 3,
                 max_sort_spacing: 6,
                 alpha: 1.0,
-                use_timing: false,
                 ..ControllerConfig::default()
             },
             KernelPath::Lanes,
@@ -749,191 +387,55 @@ mod tests {
             jump_frac: 0.9,
             ..Disorder::NONE
         };
-        c.observe(noisy, 0.0);
+        c.observe(noisy);
         assert!(!c.should_sort(), "min spacing must hold");
-        c.observe(noisy, 0.0);
+        c.observe(noisy);
         assert!(c.should_sort(), "threshold crossed past the minimum");
-        c.on_sort(2);
+        c.on_sort();
+        assert_eq!(c.last_period(), 2);
         // Zero disorder: no sort until the maximum spacing forces one.
         for step in 0..5 {
             assert!(!c.should_sort(), "step {step}");
-            c.observe(Disorder::NONE, 0.0);
+            c.observe(Disorder::NONE);
         }
         assert!(c.should_sort(), "max spacing must force a sort");
     }
 
     #[test]
-    fn deposit_switch_needs_patience_and_hysteresis() {
+    fn paths_stay_as_built() {
         let mut c = HotPathController::new(
             ControllerConfig {
                 alpha: 1.0,
-                deposit_patience: 2,
-                use_timing: false,
                 ..ControllerConfig::default()
             },
-            KernelPath::Lanes,
-            DepositPath::LaneReduce,
-        );
-        let high = Disorder {
-            uniform_block_frac: 0.9,
-            ..Disorder::NONE
-        };
-        c.observe(high, 0.0);
-        c.on_sort(1);
-        assert_eq!(c.deposit(), DepositPath::LaneReduce, "patience 1 of 2");
-        c.observe(high, 0.0);
-        c.on_sort(2);
-        assert_eq!(c.deposit(), DepositPath::SortedBlock, "sustained signal");
-        let ev = c.take_events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].what, "deposit");
-        assert_eq!(ev[0].to, "sorted_block");
-        // Mid-band readings keep the new deposit (hysteresis).
-        c.observe(
-            Disorder {
-                uniform_block_frac: 0.45,
-                ..Disorder::NONE
-            },
-            0.0,
-        );
-        c.on_sort(3);
-        assert_eq!(c.deposit(), DepositPath::SortedBlock);
-    }
-
-    #[test]
-    fn pinned_deposit_never_switches() {
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                alpha: 1.0,
-                allow_deposit_switch: false,
-                use_timing: false,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Lanes,
+            KernelPath::Scalar,
             DepositPath::Exact,
         );
-        for step in 0..10 {
-            c.observe(
-                Disorder {
-                    uniform_block_frac: 1.0,
-                    ..Disorder::NONE
-                },
-                0.0,
-            );
-            c.on_sort(step);
+        for _ in 0..10 {
+            c.observe(Disorder {
+                descent_frac: 0.5,
+                jump_frac: 1.0,
+            });
+            c.on_sort();
         }
+        assert_eq!(c.kernel(), KernelPath::Scalar);
         assert_eq!(c.deposit(), DepositPath::Exact);
-        assert!(c.take_events().is_empty());
-    }
-
-    #[test]
-    fn kernel_probe_switches_to_faster_arm() {
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                alpha: 1.0,
-                probe_period: 2,
-                kernel_margin: 0.05,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Scalar,
-            DepositPath::LaneReduce,
-        );
-        // Window 1 under the incumbent (scalar, slow).
-        c.observe(Disorder::NONE, 10.0);
-        let (arm, _) = c.on_sort(1);
-        // The unmeasured arm triggers an early probe.
-        assert_eq!(arm, KernelPath::Lanes);
-        // Probe window: lanes is much faster.
-        c.observe(Disorder::NONE, 1.0);
-        let (arm, _) = c.on_sort(2);
-        assert_eq!(arm, KernelPath::Lanes, "probe won by a wide margin");
-        assert_eq!(c.kernel(), KernelPath::Lanes);
-        let ev = c.take_events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].what, "kernel");
-        assert_eq!(ev[0].from, "scalar");
-        assert_eq!(ev[0].to, "lanes");
-    }
-
-    #[test]
-    fn deposit_switch_recalibrates_kernel_arms() {
-        // Under SortedBlock the lanes kernel loses; under LaneReduce it
-        // wins. The controller must not trust the SortedBlock-era timings
-        // once the deposit switches — it re-measures both arms and only
-        // then flips the kernel.
-        let mut c = HotPathController::new(
-            ControllerConfig {
-                alpha: 1.0,
-                deposit_patience: 1,
-                ..ControllerConfig::default()
-            },
-            KernelPath::Scalar,
-            DepositPath::SortedBlock,
-        );
-        let blocky = Disorder {
-            uniform_block_frac: 0.9,
-            ..Disorder::NONE
-        };
-        c.observe(blocky, 5.0); // incumbent baseline under SortedBlock
-        let (arm, _) = c.on_sort(1);
-        assert_eq!(arm, KernelPath::Lanes, "calibration probe");
-        c.observe(blocky, 6.0); // lanes is slower under SortedBlock
-        let (arm, _) = c.on_sort(2);
-        assert_eq!(arm, KernelPath::Scalar, "probe lost, keep scalar");
-        // The flow turns non-uniform: the deposit flips to LaneReduce.
-        c.observe(Disorder::NONE, 5.0);
-        let (arm, dep) = c.on_sort(3);
-        assert_eq!(dep, DepositPath::LaneReduce);
-        assert_eq!(
-            arm,
-            KernelPath::Scalar,
-            "no probe before the incumbent is re-measured"
-        );
-        c.observe(Disorder::NONE, 4.0); // fresh scalar baseline under LaneReduce
-        let (arm, _) = c.on_sort(4);
-        assert_eq!(arm, KernelPath::Lanes, "re-calibration probe");
-        c.observe(Disorder::NONE, 2.0); // lanes wins under LaneReduce
-        c.on_sort(5);
-        assert_eq!(c.kernel(), KernelPath::Lanes, "stale ranking revisited");
-        let kinds: Vec<&str> = c.take_events().iter().map(|e| e.what).collect();
-        assert_eq!(kinds, vec!["deposit", "kernel"]);
-    }
-
-    #[test]
-    fn deterministic_mode_never_probes() {
-        let mut c = HotPathController::new(
-            ControllerConfig::deterministic(),
-            KernelPath::Lanes,
-            DepositPath::LaneReduce,
-        );
-        for step in 0..20 {
-            c.observe(Disorder::NONE, (step % 3) as f64);
-            let (arm, _) = c.on_sort(step);
-            assert_eq!(arm, KernelPath::Lanes);
-        }
-        assert!(c.take_events().is_empty());
-        // Wall times were never folded into the state.
-        assert_eq!(c.arm_secs, [0.0; 2]);
     }
 
     #[test]
     fn state_roundtrip_is_identity() {
         let mut c = HotPathController::new(
             ControllerConfig::default(),
-            KernelPath::Scalar,
+            KernelPath::Lanes,
             DepositPath::LaneReduce,
         );
         for step in 0..7 {
-            c.observe(
-                Disorder {
-                    descent_frac: 0.3,
-                    jump_frac: 0.2,
-                    uniform_block_frac: 0.6,
-                },
-                0.5 + step as f64,
-            );
+            c.observe(Disorder {
+                descent_frac: 0.3,
+                jump_frac: 0.2,
+            });
             if step % 3 == 2 {
-                c.on_sort(step);
+                c.on_sort();
             }
         }
         let blob = c.encode_state();
@@ -941,17 +443,35 @@ mod tests {
         let mut d = HotPathController::new(
             ControllerConfig::default(),
             KernelPath::Lanes,
-            DepositPath::Exact,
+            DepositPath::LaneReduce,
         );
         d.restore_state(&blob).unwrap();
-        assert_eq!(d.kernel(), c.kernel());
-        assert_eq!(d.deposit(), c.deposit());
+        assert_eq!(d.steps_since_sort(), c.steps_since_sort());
+        assert_eq!(d.last_period(), c.last_period());
+        assert_eq!(d.disorder().to_bits(), c.disorder().to_bits());
         assert_eq!(d.encode_state(), blob);
-        // Corrupt blobs are rejected.
+        // A truncated blob is rejected.
         assert!(d.restore_state(&blob[..blob.len() - 1]).is_err());
-        let mut bad = blob.clone();
-        bad[2] = 9;
-        assert!(d.restore_state(&bad).is_err());
+    }
+
+    #[test]
+    fn wrong_version_blob_is_rejected_without_touching_state() {
+        let mut c = HotPathController::new(
+            ControllerConfig::default(),
+            KernelPath::Lanes,
+            DepositPath::LaneReduce,
+        );
+        c.observe(Disorder {
+            descent_frac: 0.4,
+            jump_frac: 0.7,
+        });
+        let live = c.encode_state();
+        let mut stale = live.clone();
+        stale[0] = 1; // the pre-scheduler format with switching state
+        stale[1] = 99; // a different steps_since_sort that must not land
+        let err = c.restore_state(&stale).unwrap_err();
+        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("version 1")));
+        assert_eq!(c.encode_state(), live);
     }
 
     #[test]
@@ -959,13 +479,12 @@ mod tests {
         let mut c = HotPathController::new(
             ControllerConfig {
                 min_sort_spacing: 1,
-                use_timing: false,
                 ..ControllerConfig::default()
             },
             KernelPath::Lanes,
             DepositPath::LaneReduce,
         );
-        c.observe(Disorder::NONE, 0.0);
+        c.observe(Disorder::NONE);
         assert!(!c.should_sort());
         c.note_shuffle();
         assert!(c.should_sort());

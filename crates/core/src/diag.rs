@@ -96,26 +96,6 @@ impl<W: Write> DiagStream<W> {
         self.pending_records += 1;
     }
 
-    /// Buffer one adaptive hot-path switch decision
-    /// ([`crate::control::SwitchEvent`]) as a complete JSON line, so
-    /// controller decisions are observable in the same per-step stream as
-    /// the physics samples. Same commit/discard transaction rules as
-    /// [`record`](DiagStream::record).
-    pub fn record_adapt(&mut self, job: Option<u64>, ev: &crate::control::SwitchEvent) {
-        self.pending.push('{');
-        if let Some(j) = job {
-            let _ = write!(self.pending, "\"job\": {j}, ");
-        }
-        let _ = write!(
-            self.pending,
-            "\"step\": {}, \"adapt\": {:?}, \"from\": {:?}, \"to\": {:?}, \
-             \"disorder\": {}, \"uniform\": {}, \"period\": {}}}",
-            ev.step, ev.what, ev.from, ev.to, ev.disorder, ev.uniform, ev.period
-        );
-        self.pending.push('\n');
-        self.pending_records += 1;
-    }
-
     /// Flush every pending line to the sink (whole lines only — a reader
     /// tailing the sink never observes a partial record).
     pub fn commit(&mut self) -> io::Result<()> {
@@ -418,31 +398,5 @@ mod tests {
         ds.commit().unwrap();
         let out = String::from_utf8(ds.into_inner()).unwrap();
         assert!(out.starts_with("{\"step\": 0, "), "{out}");
-    }
-
-    #[test]
-    fn diag_stream_records_adapt_switches() {
-        let ev = crate::control::SwitchEvent {
-            step: 42,
-            what: "kernel",
-            from: "scalar",
-            to: "lanes",
-            disorder: 0.25,
-            uniform: 0.5,
-            period: 16,
-        };
-        let mut ds = DiagStream::new(Vec::new());
-        ds.record_adapt(Some(3), &ev);
-        ds.commit().unwrap();
-        let out = String::from_utf8(ds.into_inner()).unwrap();
-        assert!(
-            out.contains("\"job\": 3")
-                && out.contains("\"adapt\": \"kernel\"")
-                && out.contains("\"from\": \"scalar\"")
-                && out.contains("\"to\": \"lanes\"")
-                && out.contains("\"period\": 16"),
-            "{out}"
-        );
-        assert!(out.ends_with('\n'));
     }
 }

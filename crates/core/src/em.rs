@@ -21,6 +21,7 @@
 //! executing pool *width*, exactly as in the electrostatic driver, and the
 //! `Exact` deposit path over `Scalar`/`Lanes` kernels is bit-identical.
 
+use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::fields::{Field2D, RedundantE, RedundantJ, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::accumulate;
@@ -33,7 +34,6 @@ use crate::pool::ThreadPool;
 use crate::resilience::checkpoint::{self as ckpt, EmSpeciesState, EmState};
 use crate::resilience::watchdog::{WatchdogConfig, WatchdogViolation};
 use crate::rng::Rng;
-use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
 use crate::sim::{AnyLayout, DiagSample, Diagnostics, KernelPath};
 use crate::species::{
     species_moments, split_species_mut, SpeciesArena, SpeciesDef, SpeciesMoments,
@@ -42,7 +42,6 @@ use crate::PicError;
 use sfc::Ordering;
 use spectral::poisson::{PoissonSolver2D, SolveScratch};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of a multi-species 2d3v run.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,10 +81,9 @@ pub struct EmConfig {
     /// `1/nranks` of *each* species; the per-step ρ/J reductions
     /// ([`EmSimulation::step_with_reduce`]) restore the global densities.
     pub replica: Option<(usize, usize)>,
-    /// Online adaptive hot-path control ([`crate::control`]) — same
+    /// Disorder-driven sort scheduling ([`crate::control`]) — same
     /// semantics as [`crate::sim::PicConfig::controller`]: `Some` drives
-    /// the sort schedule from observed disorder and retunes the
-    /// kernel/deposit paths at sort boundaries.
+    /// the sort schedule from observed disorder.
     pub controller: Option<crate::control::ControllerConfig>,
 }
 
@@ -344,7 +342,7 @@ pub struct EmSimulation {
     rng: Rng,
     charge_ref: f64,
     solve_scratch: SolveScratch,
-    /// Online adaptive controller (present when `cfg.controller` is set).
+    /// Sort scheduler (present when `cfg.controller` is set).
     controller: Option<HotPathController>,
 }
 
@@ -649,29 +647,19 @@ impl EmSimulation {
         2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
     }
 
-    /// Switch scalar vs lane-blocked kernels mid-run (bit-identical paths).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.cfg.kernel_path = path;
-    }
-
     /// Switch the deposition kernel mid-run (changes rounding within the
     /// per-cell bound unless moving between the exact forms).
     pub fn set_deposit_path(&mut self, path: DepositPath) {
         self.cfg.deposit_path = path;
     }
 
-    /// Change the sort period mid-run (autotuning).
+    /// Change the fixed sort period mid-run.
     pub fn set_sort_period(&mut self, period: usize) {
         self.cfg.sort_period = period;
     }
 
-    /// Sort every species now, regardless of the configured period.
-    pub fn force_sort(&mut self) {
-        self.sort_all();
-    }
-
-    /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel/deposit knobs; the profile is also
+    /// Attach a sort scheduler ([`crate::control`]) on the currently active
+    /// kernel/deposit paths; the profile is also
     /// recorded in the configuration so checkpoints fingerprint the
     /// controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
@@ -683,18 +671,16 @@ impl EmSimulation {
         ));
     }
 
-    /// The attached adaptive controller, if any.
+    /// The attached sort scheduler, if any.
     pub fn controller(&self) -> Option<&HotPathController> {
         self.controller.as_ref()
     }
 
-    /// Drain the hot-path switch events applied since the last call
-    /// (empty when no controller is attached).
+    /// Hot-path switch events since the last call. The sort scheduler
+    /// never switches a path, so this is always empty; it stays for
+    /// benchmark drivers that still count switches.
     pub fn take_hot_path_events(&mut self) -> Vec<SwitchEvent> {
-        self.controller
-            .as_mut()
-            .map(|c| c.take_events())
-            .unwrap_or_default()
+        Vec::new()
     }
 
     // ---------------- stepping ----------------
@@ -731,29 +717,20 @@ impl EmSimulation {
         };
         if sort_now {
             self.sort_all();
-            // Hot-path decisions commit only at sort boundaries (same
-            // bit-exactness contract as the electrostatic driver).
-            if let Some(mut c) = self.controller.take() {
-                let (k, d) = c.on_sort(self.step_count as u64);
-                self.cfg.kernel_path = k;
-                self.cfg.deposit_path = d;
-                self.controller = Some(c);
+            if let Some(c) = self.controller.as_mut() {
+                c.on_sort();
             }
         }
-        let t = self.controller.is_some().then(Instant::now);
         self.push_velocities();
         self.push_positions();
         self.deposit_rho();
         self.deposit_current();
-        if let Some(t) = t {
-            self.observe_controller(t.elapsed().as_secs_f64());
-        }
+        self.observe_controller();
     }
 
-    /// Feed the attached controller this step's observables: the
-    /// count-weighted mean disorder across the species arenas and the
-    /// particle-loop wall seconds.
-    fn observe_controller(&mut self, secs: f64) {
+    /// Feed the attached controller this step's count-weighted mean
+    /// disorder across the species arenas.
+    fn observe_controller(&mut self) {
         let Some(c) = self.controller.as_mut() else {
             return;
         };
@@ -762,7 +739,6 @@ impl EmSimulation {
         let mut weight = 0.0;
         let mut descent = 0.0;
         let mut jump = 0.0;
-        let mut uniform = 0.0;
         for arena in &self.species {
             let n = arena.p.len();
             if n < 2 {
@@ -773,18 +749,16 @@ impl EmSimulation {
             weight += w;
             descent += w * d.descent_frac;
             jump += w * d.jump_frac;
-            uniform += w * d.uniform_block_frac;
         }
         let d = if weight > 0.0 {
             control::Disorder {
                 descent_frac: descent / weight,
                 jump_frac: jump / weight,
-                uniform_block_frac: uniform / weight,
             }
         } else {
             control::Disorder::NONE
         };
-        c.observe(d, secs);
+        c.observe(d);
     }
 
     /// Second half of a step: field solve on the (reduced) ρ, redundant
@@ -1144,23 +1118,15 @@ impl EmSimulation {
                 )));
             }
         }
-        // Resume the snapshot's controller decision state before adopting
-        // anything (a bad blob must reject without touching live state).
-        let restored_ctrl = match &self.controller {
-            Some(c) if !state.hot_path.controller.is_empty() => {
-                let mut nc = c.clone();
-                nc.restore_state(&state.hot_path.controller)?;
-                Some(nc)
-            }
-            Some(c) => Some(HotPathController::new(
-                c.config().clone(),
-                state.hot_path.kernel_path,
-                state.hot_path.deposit_path,
-            )),
-            None => None,
-        };
-        // Adopt the hot-path metadata so the resumed run continues from
-        // the controller's (or autotuner's) last decision.
+        // Resume the snapshot's scheduler state before adopting anything
+        // (a bad blob must reject without touching live state).
+        let restored_ctrl = self
+            .controller
+            .as_ref()
+            .map(|c| HotPathController::resume(c.config().clone(), &state.hot_path))
+            .transpose()?;
+        // Adopt the hot-path metadata so the resumed run continues on the
+        // paths and cadence the capturing run was on.
         self.cfg.kernel_path = state.hot_path.kernel_path;
         self.cfg.deposit_path = state.hot_path.deposit_path;
         self.cfg.sort_period = state.hot_path.sort_period as usize;

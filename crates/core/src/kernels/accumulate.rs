@@ -300,7 +300,6 @@ mod tests {
             (DepositPath::Exact, KernelPath::Scalar),
             (DepositPath::Exact, KernelPath::Lanes),
             (DepositPath::LaneReduce, KernelPath::Lanes),
-            (DepositPath::SortedBlock, KernelPath::Lanes),
         ];
         for nthreads in [1usize, 2, 4] {
             let pool = crate::pool::ThreadPool::new(nthreads);

@@ -165,8 +165,8 @@ pub fn boris_push_lanes(
 }
 
 /// The Boris kernel for a [`crate::sim::KernelPath`] — both bit-identical
-/// by the argument above; the knob exists so autotune and parity tests can
-/// flip it like the electrostatic paths.
+/// by the argument above; the knob exists so parity tests can flip it like
+/// the electrostatic paths.
 pub fn select_boris(kernel_path: crate::sim::KernelPath) -> BorisFn {
     match kernel_path {
         crate::sim::KernelPath::Scalar => boris_push,

@@ -1,29 +1,21 @@
-//! Vectorized charge deposition (ROADMAP item 1): the two reassociated
-//! deposit kernels that break the scalar scatter-order dependence keeping
+//! Vectorized charge deposition: the reassociated deposit kernel that
+//! breaks the scalar scatter-order dependence keeping
 //! [`super::simd::accumulate_redundant_lanes`] at ~1.1x.
 //!
 //! The scalar/lane deposit preserves the exact per-particle accumulation
 //! order, so on sorted populations consecutive particles read-modify-write
 //! the *same* `rho4` row and the loop serializes on store-to-load
-//! forwarding. Both kernels here trade that exact order for an equivalent
-//! reassociated one:
+//! forwarding. [`accumulate_lane_reduce`] trades that exact order for an
+//! equivalent reassociated one: per-lane private ρ rows following the
+//! portable SIMD deposition of Vincenti et al. (arXiv:1601.02056). Each of
+//! the [`LANES`] lanes computes its own `[f64; 4]` corner-weight row, and a
+//! transposed lane-reduction tree-sums the rows of a uniform (single-cell)
+//! block *in registers* before one read-modify-write for the whole block;
+//! mixed blocks scatter per lane in exact order.
 //!
-//! * [`accumulate_lane_reduce`] — per-lane private ρ rows following the
-//!   portable SIMD deposition of Vincenti et al. (arXiv:1601.02056): each
-//!   of the [`LANES`] lanes computes its own `[f64; 4]` corner-weight row,
-//!   and a transposed lane-reduction tree-sums the rows of a uniform
-//!   (single-cell) block *in registers* before one read-modify-write for
-//!   the whole block; mixed blocks scatter per lane in exact order.
-//! * [`accumulate_sorted_block`] — the sorted-batch register deposit of
-//!   Beck et al. (arXiv:1810.03949): walk runs of equal `icell` (the
-//!   counting sort makes them long), accumulate every particle of a run
-//!   into a register-resident `[f64; 4]` with a lane-blocked tree
-//!   reduction, and issue one store per (cell, corner) instead of one per
-//!   particle.
-//!
-//! Both are deterministic (summation order is a pure function of the input
-//! ordering) and correct on *any* ordering — unsorted input just degrades
-//! them to per-particle stores. Their per-cell rounding differs from the
+//! The kernel is deterministic (summation order is a pure function of the
+//! input ordering) and correct on *any* ordering — unsorted input just
+//! degrades it to per-lane stores. Its per-cell rounding differs from the
 //! scalar kernel by at most the reassociation bound proved in
 //! `DESIGN.md` §14 and asserted in `tests/parity_kernel_path.rs`:
 //! with `k` particles in a cell and weight magnitude `|w|`, every corner of
@@ -48,8 +40,8 @@ pub type DepositFnAos = fn(&[Particle], &mut [[f64; 4]], f64);
 /// Which deposition kernel the split-redundant paths run.
 ///
 /// Unlike [`KernelPath`] — whose two values are bit-identical by contract —
-/// only `Exact` preserves the scalar accumulation order bit-for-bit; the
-/// other two reassociate the per-cell sums (within the proven FP bound
+/// only `Exact` preserves the scalar accumulation order bit-for-bit;
+/// `LaneReduce` reassociates the per-cell sums (within the proven FP bound
 /// above) to break the scatter serialization. The knob is part of the
 /// checkpoint fingerprint so exact and reassociated runs never
 /// cross-restore silently.
@@ -62,9 +54,6 @@ pub enum DepositPath {
     /// Per-lane private ρ rows + transposed lane-reduction
     /// ([`accumulate_lane_reduce`]).
     LaneReduce,
-    /// Sorted-batch register deposit over `icell` runs
-    /// ([`accumulate_sorted_block`]).
-    SortedBlock,
 }
 
 /// The four CIC corner weights of one particle as a straight-line `[f64; 4]`
@@ -210,73 +199,16 @@ fn tree_reduce_block(bdx: &[f64; LANES], bdy: &[f64; LANES], w: f64, acc: &mut [
     tree_sum_rows(&mut wb, acc);
 }
 
-/// Sorted-batch register deposition over `icell` runs.
-///
-/// Walks maximal runs of equal cell index (long after the counting sort),
-/// accumulates the whole run into a register-resident `[f64; 4]` — full
-/// lane blocks through the pairwise tree reduction, the run remainder in
-/// scalar order — and issues a single read-modify-write of the `rho4` row
-/// per run. Correct on any ordering; unsorted input shortens the runs to
-/// length 1 and the kernel degrades to per-particle stores.
-pub fn accumulate_sorted_block(
-    icell: &[u32],
-    dx: &[f64],
-    dy: &[f64],
-    rho4: &mut [[f64; 4]],
-    w: f64,
-) {
-    let n = icell.len();
-    assert!(dx.len() == n && dy.len() == n);
-    let mut i = 0;
-    while i < n {
-        let c = icell[i];
-        let mut j = i + 1;
-        while j < n && icell[j] == c {
-            j += 1;
-        }
-        let cell = &mut rho4[c as usize];
-        if j - i == 1 {
-            let wc = corner_weights(dx[i], dy[i], w);
-            for corner in 0..4 {
-                cell[corner] += wc[corner];
-            }
-        } else {
-            let mut acc = [0.0f64; 4];
-            let mut p = i;
-            while p + LANES <= j {
-                tree_reduce_block(
-                    super::simd::block(dx, p),
-                    super::simd::block(dy, p),
-                    w,
-                    &mut acc,
-                );
-                p += LANES;
-            }
-            for q in p..j {
-                let wc = corner_weights(dx[q], dy[q], w);
-                for corner in 0..4 {
-                    acc[corner] += wc[corner];
-                }
-            }
-            for corner in 0..4 {
-                cell[corner] += acc[corner];
-            }
-        }
-        i = j;
-    }
-}
-
 /// The SoA deposit kernel for a `(DepositPath, KernelPath)` pair — the
 /// single dispatch point shared by the sequential step, the pooled
 /// per-worker arenas, and the benches. Under `Exact` the [`KernelPath`]
 /// picks between the scalar loop and the lane-blocked weight pass (both
-/// bit-identical); the reassociated paths have one kernel each.
+/// bit-identical); the reassociated path has one kernel.
 pub fn select_kernel(path: DepositPath, kernel_path: KernelPath) -> DepositFn {
     match (path, kernel_path) {
         (DepositPath::Exact, KernelPath::Scalar) => super::accumulate::accumulate_redundant,
         (DepositPath::Exact, KernelPath::Lanes) => super::simd::accumulate_redundant_lanes,
         (DepositPath::LaneReduce, _) => accumulate_lane_reduce,
-        (DepositPath::SortedBlock, _) => accumulate_sorted_block,
     }
 }
 
@@ -311,48 +243,12 @@ pub fn accumulate_lane_reduce_aos(particles: &[Particle], rho4: &mut [[f64; 4]],
     }
 }
 
-/// AoS mirror of [`accumulate_sorted_block`]: run-walks `icell` through the
-/// particle structs with the same register accumulator and one store per
-/// run (the lane-blocked tree reduction needs contiguous offset slices, so
-/// the AoS form accumulates runs in struct order).
-pub fn accumulate_sorted_block_aos(particles: &[Particle], rho4: &mut [[f64; 4]], w: f64) {
-    let n = particles.len();
-    let mut i = 0;
-    while i < n {
-        let c = particles[i].icell;
-        let mut j = i + 1;
-        while j < n && particles[j].icell == c {
-            j += 1;
-        }
-        let cell = &mut rho4[c as usize];
-        if j - i == 1 {
-            let wc = corner_weights(particles[i].dx, particles[i].dy, w);
-            for corner in 0..4 {
-                cell[corner] += wc[corner];
-            }
-        } else {
-            let mut acc = [0.0f64; 4];
-            for p in &particles[i..j] {
-                let wc = corner_weights(p.dx, p.dy, w);
-                for corner in 0..4 {
-                    acc[corner] += wc[corner];
-                }
-            }
-            for corner in 0..4 {
-                cell[corner] += acc[corner];
-            }
-        }
-        i = j;
-    }
-}
-
 /// The AoS deposit kernel for a [`DepositPath`] (the AoS pipeline has no
 /// lane-blocked exact variant, so `Exact` is the scalar struct loop).
 pub fn select_kernel_aos(path: DepositPath) -> DepositFnAos {
     match path {
         DepositPath::Exact => super::aos::accumulate_redundant_aos_slice,
         DepositPath::LaneReduce => accumulate_lane_reduce_aos,
-        DepositPath::SortedBlock => accumulate_sorted_block_aos,
     }
 }
 
@@ -439,11 +335,9 @@ mod tests {
             for sorted in [false, true] {
                 let p = mk(n, 32, sorted, 0xC0FFEE ^ n as u64);
                 let want = scalar_rho(&p, 32, 0.75);
-                for kernel in [accumulate_lane_reduce, accumulate_sorted_block] {
-                    let mut got = vec![[0.0f64; 4]; 32];
-                    kernel(&p.icell, &p.dx, &p.dy, &mut got, 0.75);
-                    assert_within_cell_bound(&got, &want, &p.icell, 0.75);
-                }
+                let mut got = vec![[0.0f64; 4]; 32];
+                accumulate_lane_reduce(&p.icell, &p.dx, &p.dy, &mut got, 0.75);
+                assert_within_cell_bound(&got, &want, &p.icell, 0.75);
             }
         }
     }
@@ -451,15 +345,13 @@ mod tests {
     #[test]
     fn reassociated_paths_are_deterministic() {
         let p = mk(1003, 32, true, 99);
-        for kernel in [accumulate_lane_reduce, accumulate_sorted_block] {
-            let mut a = vec![[0.0f64; 4]; 32];
-            let mut b = vec![[0.0f64; 4]; 32];
-            kernel(&p.icell, &p.dx, &p.dy, &mut a, 1.0);
-            kernel(&p.icell, &p.dx, &p.dy, &mut b, 1.0);
-            for (x, y) in a.iter().zip(&b) {
-                for corner in 0..4 {
-                    assert_eq!(x[corner].to_bits(), y[corner].to_bits());
-                }
+        let mut a = vec![[0.0f64; 4]; 32];
+        let mut b = vec![[0.0f64; 4]; 32];
+        accumulate_lane_reduce(&p.icell, &p.dx, &p.dy, &mut a, 1.0);
+        accumulate_lane_reduce(&p.icell, &p.dx, &p.dy, &mut b, 1.0);
+        for (x, y) in a.iter().zip(&b) {
+            for corner in 0..4 {
+                assert_eq!(x[corner].to_bits(), y[corner].to_bits());
             }
         }
     }
@@ -467,47 +359,33 @@ mod tests {
     #[test]
     fn kernels_add_to_existing_content() {
         let p = mk(100, 16, true, 3);
-        for kernel in [accumulate_lane_reduce, accumulate_sorted_block] {
-            let mut rho = vec![[0.0f64; 4]; 16];
-            rho[3][1] = 5.0;
-            kernel(&p.icell, &p.dx, &p.dy, &mut rho, 1.0);
-            let total: f64 = rho.iter().flat_map(|c| c.iter()).sum();
-            assert!((total - 105.0).abs() < 1e-9, "total {total}");
-        }
+        let mut rho = vec![[0.0f64; 4]; 16];
+        rho[3][1] = 5.0;
+        accumulate_lane_reduce(&p.icell, &p.dx, &p.dy, &mut rho, 1.0);
+        let total: f64 = rho.iter().flat_map(|c| c.iter()).sum();
+        assert!((total - 105.0).abs() < 1e-9, "total {total}");
     }
 
     #[test]
     fn aos_mirrors_match_soa_kernels_bitwise() {
-        // Same ordering, same arithmetic: the AoS mirrors must reproduce
-        // their SoA kernels bit-for-bit, not just within the bound.
+        // Same ordering, same arithmetic: the AoS mirror must reproduce
+        // its SoA kernel bit-for-bit, not just within the bound.
         for &n in &EDGE_COUNTS {
             for sorted in [false, true] {
                 let p = mk(n, 32, sorted, 0xA05 ^ n as u64);
                 let aos = p.to_aos();
-                // SortedBlock's SoA form tree-reduces full lane blocks,
-                // which the struct-order AoS walk cannot reproduce
-                // bit-for-bit — hold that pair to the bound instead.
-                let pairs: [(DepositFn, DepositFnAos, bool); 2] = [
-                    (accumulate_lane_reduce, accumulate_lane_reduce_aos, true),
-                    (accumulate_sorted_block, accumulate_sorted_block_aos, false),
-                ];
-                for (soa_k, aos_k, bitwise) in pairs {
-                    let mut a = vec![[0.0f64; 4]; 32];
-                    let mut b = vec![[0.0f64; 4]; 32];
-                    soa_k(&p.icell, &p.dx, &p.dy, &mut a, 2.0);
-                    aos_k(&aos.p, &mut b, 2.0);
-                    if bitwise {
-                        for (cell, (x, y)) in a.iter().zip(&b).enumerate() {
-                            for corner in 0..4 {
-                                assert_eq!(
-                                    x[corner].to_bits(),
-                                    y[corner].to_bits(),
-                                    "n={n} sorted={sorted} cell={cell}"
-                                );
-                            }
-                        }
+                let mut a = vec![[0.0f64; 4]; 32];
+                let mut b = vec![[0.0f64; 4]; 32];
+                accumulate_lane_reduce(&p.icell, &p.dx, &p.dy, &mut a, 2.0);
+                accumulate_lane_reduce_aos(&aos.p, &mut b, 2.0);
+                for (cell, (x, y)) in a.iter().zip(&b).enumerate() {
+                    for corner in 0..4 {
+                        assert_eq!(
+                            x[corner].to_bits(),
+                            y[corner].to_bits(),
+                            "n={n} sorted={sorted} cell={cell}"
+                        );
                     }
-                    assert_within_cell_bound(&b, &a, &p.icell, 2.0);
                 }
             }
         }

@@ -49,7 +49,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod control;
 pub mod diag;
 pub mod em;

@@ -12,10 +12,9 @@
 //! rng_state        4×u64 xoshiro256++ stream position
 //! charge_ref       f64   total-charge reference for the watchdog
 //! kernel_path      u32   active hot-path knobs at capture time — metadata,
-//! deposit_path     u32   not fingerprint: the adaptive controller may have
-//! sort_period      u64   moved them off the configured defaults, and a
-//! ctrl_len, ctrl   u64+n restored run must resume the last decision (plus
-//!                        the controller's serialized decision state)
+//! deposit_path     u32   not fingerprint: a restored run resumes on the
+//! sort_period      u64   paths and cadence the capturing run was on (plus
+//! ctrl_len, ctrl   u64+n the sort scheduler's serialized state)
 //! n_particles      u64
 //! icell,ix,iy      3×n×u32
 //! dx,dy,vx,vy      4×n×f64
@@ -45,11 +44,9 @@ pub const FORMAT_VERSION: u32 = 2;
 const MAGIC: [u8; 8] = *b"PIC2DCKP";
 
 /// Active hot-path knobs at capture time, carried as snapshot *metadata*
-/// rather than folded into the config fingerprint: the adaptive controller
-/// ([`crate::control::HotPathController`]) may have moved the kernel,
-/// deposit, or sort period off the configured defaults, and a restored run
-/// must resume the controller's last decision instead of silently
-/// reverting. `controller` is the serialized decision state
+/// rather than folded into the config fingerprint: a restored run resumes
+/// on the kernel, deposit, and sort period the capturing run was on.
+/// `controller` is the serialized sort-scheduler state
 /// ([`crate::control::HotPathController::encode_state`]); empty when no
 /// controller is attached.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +63,7 @@ pub struct HotPathMeta {
 }
 
 impl HotPathMeta {
-    /// Metadata for a config-driven run (no adaptation has happened).
+    /// Metadata for a run without a sort scheduler.
     pub fn fixed(kernel_path: KernelPath, deposit_path: DepositPath, sort_period: u64) -> Self {
         Self {
             kernel_path,
@@ -98,7 +95,6 @@ fn deposit_code(p: DepositPath) -> u32 {
     match p {
         DepositPath::Exact => 0,
         DepositPath::LaneReduce => 1,
-        DepositPath::SortedBlock => 2,
     }
 }
 
@@ -106,7 +102,12 @@ fn deposit_from_code(c: u32) -> Result<DepositPath, PicError> {
     match c {
         0 => Ok(DepositPath::Exact),
         1 => Ok(DepositPath::LaneReduce),
-        2 => Ok(DepositPath::SortedBlock),
+        // Code 2 was the run-register deposit, dominated by `LaneReduce`
+        // on every measured shape and removed; never read it as another
+        // path.
+        2 => Err(PicError::Checkpoint(
+            "snapshot was taken on the removed `sorted_block` deposit path".into(),
+        )),
         _ => Err(PicError::Checkpoint(format!(
             "snapshot has unknown deposit-path code {c}"
         ))),
@@ -490,12 +491,9 @@ pub fn decode(bytes: &[u8]) -> Result<SimState, PicError> {
 /// Fingerprint a configuration over an explicit canonical field list:
 /// every knob that shapes the physics or the data layout. The hot-path
 /// knobs — `kernel_path`, `deposit_path`, `sort_period` — are deliberately
-/// *excluded* since snapshot format v2: the adaptive controller
-/// ([`crate::control::HotPathController`]) retunes them at runtime, and a
-/// checkpoint taken mid-adaptation must restore into the same job (the
-/// active values travel as [`HotPathMeta`] instead). The controller
-/// *profile* is included — it shapes the sort schedule and therefore the
-/// trajectory. `threads` stays excluded: it only partitions work across
+/// *excluded* since snapshot format v2: the active values travel as
+/// [`HotPathMeta`] instead. The controller *profile* is included — it
+/// shapes the sort schedule and therefore the trajectory. `threads` stays excluded: it only partitions work across
 /// the pool without changing what is computed, so a checkpoint written on
 /// an 8-thread run restores into a 1-thread run (and a shrunken
 /// distributed survivor can adopt a dead rank's snapshot regardless of its
@@ -748,8 +746,7 @@ pub fn decode_em(bytes: &[u8]) -> Result<EmState, PicError> {
 /// snapshots can never cross-restore between them. `threads` is excluded
 /// for the same portability reason as the legacy fingerprint, and the
 /// hot-path knobs (`kernel_path`/`deposit_path`/`sort_period`) are
-/// excluded for the same adaptive-restore reason as
-/// [`config_fingerprint`] — they travel as [`HotPathMeta`] instead, while
+/// excluded for the same reason as [`config_fingerprint`] — they travel as [`HotPathMeta`] instead, while
 /// the controller profile (which shapes the sort schedule) is covered.
 pub fn em_config_fingerprint(cfg: &crate::em::EmConfig) -> u64 {
     use std::fmt::Write as _;
@@ -803,7 +800,7 @@ mod tests {
             charge_ref: -1024.0,
             hot_path: HotPathMeta {
                 kernel_path: KernelPath::Lanes,
-                deposit_path: DepositPath::SortedBlock,
+                deposit_path: DepositPath::LaneReduce,
                 sort_period: 17,
                 controller: vec![0xA5, 0x5A, 0x3C, 0xC3],
             },
@@ -886,17 +883,15 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_hot_path_knobs() {
-        // The adaptive controller retunes kernel/deposit/sort-period at
-        // runtime; since format v2 they are snapshot metadata, not config
-        // identity — a checkpoint taken mid-adaptation restores into the
-        // job that configured it.
+        // Since format v2 kernel/deposit/sort-period are snapshot
+        // metadata, not config identity.
         let mut a = crate::sim::PicConfig::landau_table1(1000);
         a.kernel_path = crate::sim::KernelPath::Scalar;
         a.deposit_path = crate::sim::DepositPath::Exact;
         a.sort_period = 10;
         let mut b = a.clone();
         b.kernel_path = crate::sim::KernelPath::Lanes;
-        b.deposit_path = crate::sim::DepositPath::SortedBlock;
+        b.deposit_path = crate::sim::DepositPath::LaneReduce;
         b.sort_period = 50;
         assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
     }
@@ -908,7 +903,7 @@ mod tests {
         // so it is part of config identity.
         let a = crate::sim::PicConfig::landau_table1(1000);
         let mut b = a.clone();
-        b.controller = Some(crate::control::ControllerConfig::deterministic());
+        b.controller = Some(crate::control::ControllerConfig::default());
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
     }
 
@@ -925,6 +920,39 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("kernel-path")));
+        // Deposit code 2 was the removed run-register path: rejected by
+        // name, never read as another path.
+        let mut bytes = encode(&s);
+        bytes[72..76].copy_from_slice(&2u32.to_le_bytes()); // deposit code
+        let sum = snapshot_hash(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("sorted_block")));
+    }
+
+    #[test]
+    fn wrong_version_controller_blob_rejected_without_touching_state() {
+        use crate::sim::Simulation;
+        let mut cfg = crate::sim::PicConfig::landau_table1(2_000);
+        cfg.grid_nx = 16;
+        cfg.grid_ny = 16;
+        cfg.controller = Some(crate::control::ControllerConfig::default());
+        let mut sim = Simulation::new(cfg).unwrap();
+        sim.run(3);
+        let mut st = decode(&sim.checkpoint()).unwrap();
+        assert_eq!(st.hot_path.controller.len(), crate::control::CTRL_STATE_LEN);
+        st.hot_path.controller[0] = 1; // the pre-scheduler blob version
+        st.step_count = 99;
+        let stale = encode(&st);
+        sim.run(2);
+        let live = sim.checkpoint();
+        let err = sim.restore(&stale).unwrap_err();
+        assert!(matches!(err, PicError::Checkpoint(ref m) if m.contains("version")));
+        assert_eq!(
+            sim.checkpoint(),
+            live,
+            "a rejected blob must not touch state"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! loops (and requires square cells, `Δx = Δy`, as all the paper's test
 //! cases have).
 
-use crate::control::{self, ControllerConfig, HotPathController, SwitchEvent};
+use crate::control::{self, ControllerConfig, HotPathController};
 use crate::fields::{Field2D, RedundantE, RedundantRho};
 use crate::grid::Grid2D;
 use crate::kernels::{self, accumulate, aos, deposit, fused, position, simd, velocity, SoaViewMut};
@@ -321,12 +321,11 @@ pub struct PicConfig {
     pub kernel_path: KernelPath,
     /// Which deposition kernel the split-redundant paths (SoA and AoS) run.
     /// `Exact` preserves the scalar accumulation order bit-for-bit; the
-    /// reassociated paths ([`DepositPath::LaneReduce`],
-    /// [`DepositPath::SortedBlock`]) stay within the per-cell FP bound of
-    /// `crates/core/src/kernels/deposit.rs`. Standard-field and fused paths
-    /// deposit inline and ignore this knob; the initial deposit at
-    /// construction always runs `Exact` so every path starts from identical
-    /// state.
+    /// reassociated [`DepositPath::LaneReduce`] stays within the per-cell
+    /// FP bound of `crates/core/src/kernels/deposit.rs`. Standard-field
+    /// and fused paths deposit inline and ignore this knob; the initial
+    /// deposit at construction always runs `Exact` so every path starts
+    /// from identical state.
     pub deposit_path: DepositPath,
     /// Coefficient hoisting (§IV-D).
     pub hoisted: bool,
@@ -352,13 +351,12 @@ pub struct PicConfig {
     /// a contiguous range of the SFC cell ordering instead of a fixed index
     /// slice of the particle population. `None` keeps everything.
     pub keep_cells: Option<(u32, u32)>,
-    /// Online adaptive hot-path control ([`crate::control`]). `Some`
+    /// Disorder-driven sort scheduling ([`crate::control`]). `Some`
     /// attaches a [`HotPathController`] that drives the sort schedule from
-    /// the observed particle disorder and retunes
-    /// `kernel_path`/`deposit_path` at sort boundaries; `None` keeps the
-    /// fixed `sort_period` cadence and the configured paths. The profile
-    /// is part of the checkpoint fingerprint (it shapes the trajectory);
-    /// the knobs it moves travel as snapshot metadata.
+    /// the observed particle disorder; `None` keeps the fixed
+    /// `sort_period` cadence. The profile is part of the checkpoint
+    /// fingerprint (it shapes the trajectory); the scheduler state travels
+    /// as snapshot metadata.
     pub controller: Option<crate::control::ControllerConfig>,
 }
 
@@ -502,9 +500,8 @@ pub struct Simulation {
     sort_arena: sort::SortArena,
     /// Reusable spectral workspaces for the per-step Poisson solve.
     solve_scratch: SolveScratch,
-    /// Online adaptive controller (present when `cfg.controller` is set):
-    /// drives the sort schedule from observed disorder and retunes the
-    /// kernel/deposit paths at sort boundaries.
+    /// Sort scheduler (present when `cfg.controller` is set): drives the
+    /// sort schedule from observed disorder.
     controller: Option<HotPathController>,
 }
 
@@ -905,27 +902,17 @@ impl Simulation {
                 "snapshot particle cell index out of range".into(),
             ));
         }
-        // Resume the snapshot's controller decision state before adopting
-        // anything (a bad blob must reject without touching live state).
-        // An empty blob means the snapshot was taken without a controller:
-        // start this one fresh from the recorded knobs.
-        let restored_ctrl = match &self.controller {
-            Some(c) if !st.hot_path.controller.is_empty() => {
-                let mut nc = c.clone();
-                nc.restore_state(&st.hot_path.controller)?;
-                Some(nc)
-            }
-            Some(c) => Some(HotPathController::new(
-                c.config().clone(),
-                st.hot_path.kernel_path,
-                st.hot_path.deposit_path,
-            )),
-            None => None,
-        };
+        // Resume the snapshot's scheduler state before adopting anything
+        // (a bad blob must reject without touching live state).
+        let restored_ctrl = self
+            .controller
+            .as_ref()
+            .map(|c| HotPathController::resume(c.config().clone(), &st.hot_path))
+            .transpose()?;
 
-        // Adopt the hot-path metadata: the controller (or the autotuner)
-        // may have moved these off the configured defaults, and a resumed
-        // run must continue from the last decision, not silently revert.
+        // Adopt the hot-path metadata: the snapshot records the paths and
+        // cadence the capturing run was on, and a resumed run continues on
+        // them rather than silently switching.
         self.cfg.kernel_path = st.hot_path.kernel_path;
         self.cfg.deposit_path = st.hot_path.deposit_path;
         self.cfg.sort_period = st.hot_path.sort_period as usize;
@@ -1104,36 +1091,24 @@ impl Simulation {
         };
         if sort_now {
             self.sort_particles();
-            // Hot-path decisions are committed only at sort boundaries, so
-            // `Exact`-path runs stay bit-exact between them and the deposit
-            // always sees freshly sorted runs.
-            if let Some(mut c) = self.controller.take() {
-                let (k, d) = c.on_sort(self.step_count as u64);
-                self.cfg.kernel_path = k;
-                self.cfg.deposit_path = d;
-                self.controller = Some(c);
+            if let Some(c) = self.controller.as_mut() {
+                c.on_sort();
             }
         }
 
         // Particle loops (lines 7–12).
-        let before = self.timers;
         match self.cfg.particle_layout {
             ParticleLayout::Soa => self.step_soa(),
             ParticleLayout::Aos => self.step_aos(),
         }
-        self.observe_controller(before);
+        self.observe_controller();
     }
 
-    /// Feed the attached controller this step's observables: the sampled
-    /// particle disorder and the particle-loop wall seconds (the timer
-    /// delta across the loops — sort ran before `before` was captured and
-    /// the solve/convert phases run after, so the delta is exactly the
-    /// kick/push/deposit time).
-    fn observe_controller(&mut self, before: PhaseTimes) {
+    /// Feed the attached controller this step's sampled particle disorder.
+    fn observe_controller(&mut self) {
         let Some(c) = self.controller.as_mut() else {
             return;
         };
-        let secs = self.timers.total() - before.total();
         let stride = c.config().stride;
         let cells = self.grid.ncells();
         let d = match &self.particles_aos {
@@ -1142,7 +1117,7 @@ impl Simulation {
             }
             None => control::measure_disorder(&self.particles.icell, stride, cells),
         };
-        c.observe(d, secs);
+        c.observe(d);
     }
 
     /// Second half of a step: Poisson solve on the (reduced) ρ and
@@ -1183,39 +1158,14 @@ impl Simulation {
         }
     }
 
-    /// Sort the particles now, regardless of the configured period (used by
-    /// the [`crate::autotune`] machinery and by harnesses that manage their
-    /// own sorting schedule).
-    pub fn force_sort(&mut self) {
-        self.sort_particles();
-    }
-
-    /// Switch between scalar and lane-blocked inner kernels at runtime.
-    /// Both paths produce bit-identical physics, so this is safe mid-run;
-    /// the autotuner and benches use it to compare the two.
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.cfg.kernel_path = path;
-    }
-
-    /// Switch the deposition kernel at runtime. Unlike
-    /// [`set_kernel_path`](Self::set_kernel_path) this *does* change the
-    /// rounding of subsequent steps (within the per-cell FP bound of
-    /// [`crate::kernels::deposit`]) unless switching between the two exact
-    /// forms; the autotuner restores the configured value after its trials,
-    /// and checkpoints record the active value as metadata so a restored
-    /// run resumes it.
-    pub fn set_deposit_path(&mut self, path: DepositPath) {
-        self.cfg.deposit_path = path;
-    }
-
     /// Change the fixed sort cadence at runtime (0 = never). Ignored while
     /// a controller is attached — the controller owns the sort schedule.
     pub fn set_sort_period(&mut self, period: usize) {
         self.cfg.sort_period = period;
     }
 
-    /// Attach an online adaptive controller ([`crate::control`]) starting
-    /// from the currently active kernel/deposit knobs. Also records the
+    /// Attach a sort scheduler ([`crate::control`]) on the currently active
+    /// kernel/deposit paths. Also records the
     /// profile in the configuration, so subsequent checkpoints fingerprint
     /// the controller-enabled run.
     pub fn enable_controller(&mut self, ccfg: ControllerConfig) {
@@ -1227,20 +1177,9 @@ impl Simulation {
         ));
     }
 
-    /// The attached adaptive controller, if any.
+    /// The attached sort scheduler, if any.
     pub fn controller(&self) -> Option<&HotPathController> {
         self.controller.as_ref()
-    }
-
-    /// Drain the hot-path switch events applied since the last call
-    /// (empty when no controller is attached). Drivers ledger these
-    /// through [`crate::faultlog::FaultLog`] /
-    /// [`crate::diag::DiagStream`].
-    pub fn take_hot_path_events(&mut self) -> Vec<SwitchEvent> {
-        self.controller
-            .as_mut()
-            .map(|c| c.take_events())
-            .unwrap_or_default()
     }
 
     /// Tell the attached controller that an external mechanism (rank

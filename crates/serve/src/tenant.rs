@@ -172,18 +172,6 @@ impl Tenant {
         }
     }
 
-    /// Drain the adaptive hot-path controller's applied switches since the
-    /// last drain (empty unless the workload's config enabled a
-    /// [`pic_core::control::ControllerConfig`]). Controller state rides in
-    /// the checkpoint, so a preempted-and-resumed tenant keeps draining
-    /// from where its last materialization left off.
-    pub fn take_hot_path_events(&mut self) -> Vec<pic_core::control::SwitchEvent> {
-        match self {
-            Tenant::Single(s) => s.take_hot_path_events(),
-            Tenant::Em(s) => s.take_hot_path_events(),
-        }
-    }
-
     /// Stream the newest per-step diagnostics: the energy sample for both
     /// kinds, plus one per-species moment record for the EM kind.
     pub fn record_stream<W: Write>(&self, stream: &mut DiagStream<W>, job: u64) {

@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> net Rust line count (informational, not a gate)"
+echo "$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l) lines of Rust under crates src tests examples"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -1,56 +1,57 @@
-//! End-to-end tests of the online adaptive hot-path controller: bit-exact
-//! checkpoint/restore around controller switches, and mid-adaptation
-//! resume of the recorded hot-path knobs.
+//! End-to-end tests of the disorder-driven sort scheduler: bit-exact
+//! checkpoint/restore around scheduler-triggered sorts, and resume of the
+//! recorded hot-path knobs.
 
 use pic2d::pic_core::control::ControllerConfig;
 use pic2d::pic_core::em::{EmConfig, EmSimulation};
 use pic2d::pic_core::sim::{DepositPath, KernelPath, PicConfig, Simulation};
 
+const MAX_SPACING: usize = 12;
+
 fn adaptive_cfg(n: usize) -> PicConfig {
     let mut cfg = PicConfig::landau_table1(n);
     cfg.grid_nx = 32;
     cfg.grid_ny = 32;
-    // Start on a deposit path the low-density workload will abandon:
-    // uniform-block fraction stays near zero, so the deterministic
-    // controller walks SortedBlock -> LaneReduce after its patience.
-    cfg.deposit_path = DepositPath::SortedBlock;
     cfg.controller = Some(ControllerConfig {
-        min_sort_spacing: 2,
-        max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
+        min_sort_spacing: 3,
+        max_sort_spacing: MAX_SPACING,
+        ..ControllerConfig::default()
     });
     cfg
 }
 
-/// A deterministic-controller run restores bit-identically from
-/// checkpoints taken before, during, and after a hot-path switch: the
-/// restored run replays the same sort schedule and the same switch
-/// decisions, so the final checkpoint bytes are equal.
+/// A scheduler run restores bit-identically from checkpoints taken one
+/// step before a disorder-triggered sort, at that sort, and in the middle
+/// of the window after it: the restored run replays the same sort
+/// schedule, so the final checkpoint bytes are equal.
 #[test]
-fn controller_run_restores_bit_identically_around_switches() {
+fn controller_run_restores_bit_identically_around_sorts() {
     let cfg = adaptive_cfg(3_000);
     let steps = 60usize;
 
     let mut reference = Simulation::new(cfg.clone()).unwrap();
     let mut snaps = vec![reference.checkpoint()];
-    let mut switch_steps = Vec::new();
-    for s in 0..steps {
+    // (step, realized period) of every sort.
+    let mut sorts = Vec::new();
+    for s in 1..=steps {
+        let will_sort = reference.controller().unwrap().should_sort();
         reference.step();
-        for ev in reference.take_hot_path_events() {
-            let _ = ev;
-            switch_steps.push(s + 1);
+        if will_sort {
+            sorts.push((s, reference.controller().unwrap().last_period() as usize));
         }
         snaps.push(reference.checkpoint());
     }
-    assert!(
-        !switch_steps.is_empty(),
-        "workload must trigger at least one switch for the test to bite"
-    );
-    let first = switch_steps[0];
-    assert!(first < steps, "switch must land inside the run");
+    // The first sort the disorder threshold triggered (before the maximum
+    // spacing would have forced it), with a later sort closing its window.
+    let k = sorts
+        .windows(2)
+        .find(|w| w[0].1 + 1 < MAX_SPACING && w[1].0 - w[0].0 >= 2)
+        .map(|w| (w[0].0, w[1].0));
+    let (sort_at, next_sort) =
+        k.expect("workload must trigger a threshold sort for the test to bite");
 
-    // Before the first switch, at it, and well after it.
-    for &from in &[first.saturating_sub(1), first, (first + steps) / 2] {
+    let mid = (sort_at + next_sort) / 2;
+    for from in [sort_at - 1, sort_at, mid] {
         let mut resumed = Simulation::new(cfg.clone()).unwrap();
         resumed.restore(&snaps[from]).unwrap();
         assert_eq!(resumed.steps(), from);
@@ -63,40 +64,6 @@ fn controller_run_restores_bit_identically_around_switches() {
             "restore from step {from} must replay to identical bytes"
         );
     }
-}
-
-/// A checkpoint taken mid-adaptation records the controller's last
-/// decisions as metadata; restoring into a simulation built from the
-/// *original* config resumes those knobs instead of resetting them.
-#[test]
-fn restore_resumes_mid_adaptation_hot_path_knobs() {
-    let cfg = adaptive_cfg(3_000);
-    let mut sim = Simulation::new(cfg.clone()).unwrap();
-    let mut switched = false;
-    for _ in 0..60 {
-        sim.step();
-        if !sim.take_hot_path_events().is_empty() {
-            switched = true;
-        }
-    }
-    assert!(switched, "controller must have adapted at least once");
-    let adapted_deposit = sim.config().deposit_path;
-    assert_ne!(
-        adapted_deposit,
-        DepositPath::SortedBlock,
-        "the low-uniformity workload abandons the configured deposit path"
-    );
-    let snap = sim.checkpoint();
-
-    // Fresh simulation from the original (pre-adaptation) config.
-    let mut resumed = Simulation::new(cfg).unwrap();
-    assert_eq!(resumed.config().deposit_path, DepositPath::SortedBlock);
-    resumed.restore(&snap).unwrap();
-    assert_eq!(resumed.config().deposit_path, adapted_deposit);
-    assert!(
-        resumed.controller().is_some(),
-        "controller must survive the restore"
-    );
 }
 
 /// `set_sort_period` is recorded as checkpoint metadata (not identity):
@@ -123,9 +90,9 @@ fn restore_adopts_recorded_sort_period() {
     );
 }
 
-/// A pinned-deposit (`allow_deposit_switch = false`) Exact-path controller
-/// run never leaves the Exact deposit, so adaptivity cannot perturb the
-/// per-cell FP summation order the Exact contract promises.
+/// An Exact-path scheduler run never leaves the Exact deposit, so sort
+/// scheduling cannot perturb the per-cell FP summation order the Exact
+/// contract promises.
 #[test]
 fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     let mut cfg = PicConfig::landau_table1(2_000);
@@ -134,10 +101,9 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     cfg.deposit_path = DepositPath::Exact;
     cfg.kernel_path = KernelPath::Scalar;
     cfg.controller = Some(ControllerConfig {
-        allow_deposit_switch: false,
         min_sort_spacing: 2,
         max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
+        ..ControllerConfig::default()
     });
 
     let mut a = Simulation::new(cfg.clone()).unwrap();
@@ -153,16 +119,16 @@ fn pinned_exact_controller_stays_exact_and_restores_bitwise() {
     assert_eq!(a.checkpoint(), b.checkpoint());
 }
 
-/// The EM driver threads the same controller: a deterministic-controller
+/// The EM driver threads the same scheduler: a scheduler-driven
 /// multi-species run restores bit-identically from a mid-run checkpoint.
 #[test]
 fn em_controller_run_restores_bit_identically() {
     let mut cfg = EmConfig::ion_acoustic(600);
-    cfg.deposit_path = DepositPath::SortedBlock;
+    cfg.deposit_path = DepositPath::LaneReduce;
     cfg.controller = Some(ControllerConfig {
         min_sort_spacing: 2,
         max_sort_spacing: 6,
-        ..ControllerConfig::deterministic()
+        ..ControllerConfig::default()
     });
 
     let mut a = EmSimulation::new(cfg.clone()).unwrap();

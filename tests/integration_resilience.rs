@@ -371,9 +371,9 @@ fn ledger_records_kill_detect_shrink_rollback() {
 /// Kernel path is hot-path *metadata*, not identity: a snapshot taken
 /// under one kernel path restores into a simulation configured with the
 /// other and carries its recorded path along — and thread count must NOT
-/// invalidate it either. (Before the adaptive controller, kernel path was
-/// part of the fingerprint; now the controller may legitimately flip it
-/// mid-run, so the snapshot records it as resumable state instead.)
+/// invalidate it either. (Kernel path used to be part of the fingerprint;
+/// since checkpoint format v2 the snapshot records it as resumable state
+/// instead.)
 #[test]
 fn fingerprint_gates_kernel_path_but_not_threads() {
     let mut scalar_cfg = cfg(800);

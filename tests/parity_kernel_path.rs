@@ -3,7 +3,7 @@
 //! ρ, same particle cells/offsets/velocities — across cell orderings,
 //! thread counts, and particle counts that do and do not divide the lane
 //! width. This is the contract that makes `KernelPath` a pure performance
-//! knob: switching it (or autotuning over it) can never change physics.
+//! knob: switching it can never change physics.
 
 use pic_core::sim::{KernelPath, PicConfig, Simulation};
 use sfc::Ordering;
@@ -93,9 +93,8 @@ fn parity_on_baseline_row_major() {
 // ---------------------------------------------------------------------------
 // DepositPath parity: the deposition-kernel knob must likewise never change
 // physics beyond its documented contract — `Exact` stays bit-identical to
-// the scalar accumulation order, and the reassociated paths (`LaneReduce`,
-// `SortedBlock`) stay within a tight tolerance of the exact result at the
-// simulation level and within the proven per-cell FP bound at the kernel
+// the scalar accumulation order, and the reassociated `LaneReduce` path
+// stays within a tight tolerance of the exact result at the simulation level and within the proven per-cell FP bound at the kernel
 // level.
 // ---------------------------------------------------------------------------
 
@@ -105,7 +104,7 @@ use pic_core::sim::{DepositPath, ParticleLayout};
 
 /// {AoS, SoA} x {1, 2, 4 threads} x {sorted, unsorted}: under every combo,
 /// `Exact` is bit-identical between the scalar and lane kernel paths, and
-/// each reassociated path tracks the exact run to a loose per-cell
+/// the reassociated path tracks the exact run to a loose per-cell
 /// tolerance (the per-deposit FP bound fed back through the field solve for
 /// a handful of steps).
 #[test]
@@ -130,21 +129,19 @@ fn deposit_path_matrix() {
                 // Exact deposit: scalar vs lane kernel paths, bit for bit.
                 assert_paths_bit_identical(make(DepositPath::Exact), 5, &what);
 
-                // Reassociated deposits track the exact run closely.
+                // The reassociated deposit tracks the exact run closely.
                 let mut exact = Simulation::new(make(DepositPath::Exact)).unwrap();
                 exact.run(5);
-                for dp in [DepositPath::LaneReduce, DepositPath::SortedBlock] {
-                    let mut sim = Simulation::new(make(dp)).unwrap();
-                    sim.run(5);
-                    let (re, rr) = (exact.rho(), sim.rho());
-                    for i in 0..re.len() {
-                        assert!(
-                            (re[i] - rr[i]).abs() < 1e-9,
-                            "{what} {dp:?}: rho[{i}] drifted: {} vs {}",
-                            rr[i],
-                            re[i]
-                        );
-                    }
+                let mut sim = Simulation::new(make(DepositPath::LaneReduce)).unwrap();
+                sim.run(5);
+                let (re, rr) = (exact.rho(), sim.rho());
+                for i in 0..re.len() {
+                    assert!(
+                        (re[i] - rr[i]).abs() < 1e-9,
+                        "{what} LaneReduce: rho[{i}] drifted: {} vs {}",
+                        rr[i],
+                        re[i]
+                    );
                 }
             }
         }
@@ -152,7 +149,7 @@ fn deposit_path_matrix() {
 }
 
 /// Kernel-level bound at full scale: 1M particles on a 128x128 grid
-/// (~61 per cell), sorted and unsorted. Every reassociated path lands
+/// (~61 per cell), sorted and unsorted. The reassociated path lands
 /// within the per-cell bound `4 k^2 eps |w|` (k = particles in the cell)
 /// of the exact scalar accumulation — the bound proven in
 /// `crates/core/src/kernels/deposit.rs`.
@@ -176,24 +173,18 @@ fn reassociated_deposit_within_cell_bound_at_1m() {
         for &c in &icell {
             counts[c as usize] += 1;
         }
-        let kernels: [(&str, deposit::DepositFn); 2] = [
-            ("lane_reduce", deposit::accumulate_lane_reduce),
-            ("sorted_block", deposit::accumulate_sorted_block),
-        ];
-        for (name, kernel) in kernels {
-            let mut got = vec![[0.0f64; 4]; NCELLS];
-            kernel(&icell, &dx, &dy, &mut got, w);
-            for c in 0..NCELLS {
-                let k = counts[c] as f64;
-                let bound = 4.0 * k * k * f64::EPSILON * w.abs();
-                for corner in 0..4 {
-                    let d = (got[c][corner] - reference[c][corner]).abs();
-                    assert!(
-                        d <= bound,
-                        "{name} sorted={sorted} cell={c} corner={corner}: \
-                         |diff| {d:e} exceeds bound {bound:e} (k={k})"
-                    );
-                }
+        let mut got = vec![[0.0f64; 4]; NCELLS];
+        deposit::accumulate_lane_reduce(&icell, &dx, &dy, &mut got, w);
+        for c in 0..NCELLS {
+            let k = counts[c] as f64;
+            let bound = 4.0 * k * k * f64::EPSILON * w.abs();
+            for corner in 0..4 {
+                let d = (got[c][corner] - reference[c][corner]).abs();
+                assert!(
+                    d <= bound,
+                    "lane_reduce sorted={sorted} cell={c} corner={corner}: \
+                     |diff| {d:e} exceeds bound {bound:e} (k={k})"
+                );
             }
         }
     }
