@@ -67,7 +67,7 @@ fn bench_update_velocities(c: &mut Criterion) {
     let mut vy = p.vy.clone();
     g.bench_function("redundant_hoisted", |b| {
         b.iter(|| {
-            velocity::update_velocities_redundant_hoisted(
+            let sums = velocity::update_velocities_redundant_hoisted(
                 black_box(&p.icell),
                 &p.dx,
                 &p.dy,
@@ -75,12 +75,12 @@ fn bench_update_velocities(c: &mut Criterion) {
                 &mut vy,
                 &e8.e8,
             );
-            black_box(vx[0])
+            black_box((vx[0], sums))
         })
     });
     g.bench_function("redundant_hoisted_lanes", |b| {
         b.iter(|| {
-            simd::update_velocities_redundant_hoisted_lanes(
+            let sums = simd::update_velocities_redundant_hoisted_lanes(
                 black_box(&p.icell),
                 &p.dx,
                 &p.dy,
@@ -88,12 +88,12 @@ fn bench_update_velocities(c: &mut Criterion) {
                 &mut vy,
                 &e8.e8,
             );
-            black_box(vx[0])
+            black_box((vx[0], sums))
         })
     });
     g.bench_function("redundant_coeff", |b| {
         b.iter(|| {
-            velocity::update_velocities_redundant(
+            let sums = velocity::update_velocities_redundant(
                 black_box(&p.icell),
                 &p.dx,
                 &p.dy,
@@ -103,12 +103,12 @@ fn bench_update_velocities(c: &mut Criterion) {
                 0.5,
                 0.5,
             );
-            black_box(vx[0])
+            black_box((vx[0], sums))
         })
     });
     g.bench_function("redundant_coeff_lanes", |b| {
         b.iter(|| {
-            simd::update_velocities_redundant_lanes(
+            let sums = simd::update_velocities_redundant_lanes(
                 black_box(&p.icell),
                 &p.dx,
                 &p.dy,
@@ -118,7 +118,7 @@ fn bench_update_velocities(c: &mut Criterion) {
                 0.5,
                 0.5,
             );
-            black_box(vx[0])
+            black_box((vx[0], sums))
         })
     });
     g.bench_function("standard_gather", |b| {

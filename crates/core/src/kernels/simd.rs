@@ -28,6 +28,7 @@
 // Lane kernels mirror the scalar kernels' slice-per-field signatures.
 #![allow(clippy::too_many_arguments)]
 
+use super::velocity::SquareSums;
 use sfc::CellLayout;
 
 /// Lane-block width: 8 × f64 fills one AVX-512 register (two AVX2).
@@ -248,7 +249,9 @@ pub fn update_positions_branchless_layout_lanes<L: CellLayout>(
 
 /// Lane-blocked hoisted kick: gather the 8 redundant E values per lane, then
 /// a vectorized weight-and-add block. Bit-identical to
-/// [`super::velocity::update_velocities_redundant_hoisted`].
+/// [`super::velocity::update_velocities_redundant_hoisted`], returned
+/// `(Σvx², Σvy²)` included: lane `l` of the block accumulates into
+/// [`SquareSums`] lane `l`, exactly the scalar kernel's `i mod LANES`.
 pub fn update_velocities_redundant_hoisted_lanes(
     icell: &[u32],
     dx: &[f64],
@@ -256,12 +259,13 @@ pub fn update_velocities_redundant_hoisted_lanes(
     vx: &mut [f64],
     vy: &mut [f64],
     e8: &[[f64; 8]],
-) {
+) -> (f64, f64) {
     let n = icell.len();
     assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
     let main = n - n % LANES;
     let mut o = 0;
     let mut e = [[0.0f64; 8]; LANES];
+    let mut sq = SquareSums::ZERO;
     while o < main {
         let bc = block(icell, o);
         let bdx = block(dx, o);
@@ -281,9 +285,12 @@ pub fn update_velocities_redundant_hoisted_lanes(
             let w11 = odx * ody;
             bvx[l] += w00 * e[l][0] + w01 * e[l][1] + w10 * e[l][2] + w11 * e[l][3];
             bvy[l] += w00 * e[l][4] + w01 * e[l][5] + w10 * e[l][6] + w11 * e[l][7];
+            sq.add(l, bvx[l], bvy[l]);
         }
         o += LANES;
     }
+    // The scalar tail's own sums are dropped: in the shared order the tail
+    // adds onto this kernel's lane total.
     super::velocity::update_velocities_redundant_hoisted(
         &icell[main..],
         &dx[main..],
@@ -292,10 +299,11 @@ pub fn update_velocities_redundant_hoisted_lanes(
         &mut vy[main..],
         e8,
     );
+    sq.finish_slices(&vx[main..], &vy[main..])
 }
 
 /// Lane-blocked coefficient kick (unhoisted baseline). Bit-identical to
-/// [`super::velocity::update_velocities_redundant`].
+/// [`super::velocity::update_velocities_redundant`], returned sums included.
 pub fn update_velocities_redundant_lanes(
     icell: &[u32],
     dx: &[f64],
@@ -305,12 +313,13 @@ pub fn update_velocities_redundant_lanes(
     e8: &[[f64; 8]],
     coeff_x: f64,
     coeff_y: f64,
-) {
+) -> (f64, f64) {
     let n = icell.len();
     assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
     let main = n - n % LANES;
     let mut o = 0;
     let mut e = [[0.0f64; 8]; LANES];
+    let mut sq = SquareSums::ZERO;
     while o < main {
         let bc = block(icell, o);
         let bdx = block(dx, o);
@@ -330,6 +339,7 @@ pub fn update_velocities_redundant_lanes(
             let ey = w00 * e[l][4] + w01 * e[l][5] + w10 * e[l][6] + w11 * e[l][7];
             bvx[l] += coeff_x * ex;
             bvy[l] += coeff_y * ey;
+            sq.add(l, bvx[l], bvy[l]);
         }
         o += LANES;
     }
@@ -343,6 +353,7 @@ pub fn update_velocities_redundant_lanes(
         coeff_x,
         coeff_y,
     );
+    sq.finish_slices(&vx[main..], &vy[main..])
 }
 
 /// Lane-blocked redundant deposition: the 4-wide corner weights of a whole
@@ -524,7 +535,7 @@ mod tests {
             }
             let mut a = base.clone();
             let mut b = base.clone();
-            velocity::update_velocities_redundant_hoisted(
+            let sa = velocity::update_velocities_redundant_hoisted(
                 &a.icell.clone(),
                 &a.dx.clone(),
                 &a.dy.clone(),
@@ -532,7 +543,7 @@ mod tests {
                 &mut a.vy,
                 &e8.e8,
             );
-            update_velocities_redundant_hoisted_lanes(
+            let sb = update_velocities_redundant_hoisted_lanes(
                 &b.icell.clone(),
                 &b.dx.clone(),
                 &b.dy.clone(),
@@ -540,6 +551,8 @@ mod tests {
                 &mut b.vy,
                 &e8.e8,
             );
+            assert_eq!(sa.0.to_bits(), sb.0.to_bits(), "Σvx² n={n}");
+            assert_eq!(sa.1.to_bits(), sb.1.to_bits(), "Σvy² n={n}");
             for i in 0..n {
                 assert_eq!(a.vx[i].to_bits(), b.vx[i].to_bits(), "vx n={n} i={i}");
                 assert_eq!(a.vy[i].to_bits(), b.vy[i].to_bits(), "vy n={n} i={i}");
@@ -547,7 +560,7 @@ mod tests {
             // Coefficient form too.
             let mut c = base.clone();
             let mut d = base.clone();
-            velocity::update_velocities_redundant(
+            let sc = velocity::update_velocities_redundant(
                 &c.icell.clone(),
                 &c.dx.clone(),
                 &c.dy.clone(),
@@ -557,7 +570,7 @@ mod tests {
                 0.37,
                 -1.25,
             );
-            update_velocities_redundant_lanes(
+            let sd = update_velocities_redundant_lanes(
                 &d.icell.clone(),
                 &d.dx.clone(),
                 &d.dy.clone(),
@@ -567,6 +580,8 @@ mod tests {
                 0.37,
                 -1.25,
             );
+            assert_eq!(sc.0.to_bits(), sd.0.to_bits(), "coeff Σvx² n={n}");
+            assert_eq!(sc.1.to_bits(), sd.1.to_bits(), "coeff Σvy² n={n}");
             for i in 0..n {
                 assert_eq!(c.vx[i].to_bits(), d.vx[i].to_bits(), "coeff vx n={n}");
                 assert_eq!(c.vy[i].to_bits(), d.vy[i].to_bits(), "coeff vy n={n}");

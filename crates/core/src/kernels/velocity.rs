@@ -5,15 +5,79 @@
 //! points. The hoisted variants assume the stored field already carries the
 //! `q·Δt/m` (and grid-unit) factors, so the loop body is pure
 //! interpolate-and-add — the shape the paper reports for its optimized code.
+//!
+//! The redundant kicks return `(Σvx², Σvy²)` of the velocities they just
+//! wrote, so the kinetic-energy diagnostic needs no pass of its own. Every
+//! such sum — scalar kick, lane kick, and the standalone
+//! [`square_sums`] pass — uses one reduction order ([`SquareSums`]), so the
+//! kernel path never changes a diagnostic bit.
 
 // SoA kernels take one slice per particle field by design; bundling them
 // into a struct would obscure the loop shapes the paper compares.
 #![allow(clippy::too_many_arguments)]
 
+use super::simd::LANES;
 use crate::fields::Field2D;
-use crate::par;
 
-/// Kick from the redundant field: `v += coeff · E_CIC(particle)`.
+/// Per-lane accumulators of `(Σvx², Σvy²)`, and with them the one reduction
+/// order of every kinetic-energy sum: element `i` of the lane-blocked
+/// prefix (`n − n mod LANES` elements) goes to lane `i mod LANES`, the lanes
+/// are summed pairwise, then the tail is added in order.
+#[derive(Debug, Clone, Copy)]
+pub struct SquareSums {
+    x: [f64; LANES],
+    y: [f64; LANES],
+}
+
+impl SquareSums {
+    /// All lanes zero.
+    pub const ZERO: Self = Self {
+        x: [0.0; LANES],
+        y: [0.0; LANES],
+    };
+
+    /// Accumulate one particle's squared velocity into `lane`.
+    #[inline(always)]
+    pub fn add(&mut self, lane: usize, vx: f64, vy: f64) {
+        self.x[lane] += vx * vx;
+        self.y[lane] += vy * vy;
+    }
+
+    /// Sum the lanes pairwise, then add the tail's squares in order.
+    pub fn finish(&self, tail: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+        fn pairwise(a: &[f64; LANES]) -> f64 {
+            ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+        }
+        let (mut sx, mut sy) = (pairwise(&self.x), pairwise(&self.y));
+        for (vx, vy) in tail {
+            sx += vx * vx;
+            sy += vy * vy;
+        }
+        (sx, sy)
+    }
+
+    /// [`finish`](Self::finish) with the tail read from SoA slices.
+    #[inline]
+    pub fn finish_slices(&self, vx: &[f64], vy: &[f64]) -> (f64, f64) {
+        self.finish(vx.iter().copied().zip(vy.iter().copied()))
+    }
+}
+
+/// `(Σvx², Σvy²)` over `n` particles whose velocities `v(i)` yields, in the
+/// [`SquareSums`] order — bit-identical to the sums the redundant kicks
+/// return for the same velocities.
+pub fn square_sums(n: usize, v: impl Fn(usize) -> (f64, f64)) -> (f64, f64) {
+    let main = n - n % LANES;
+    let mut acc = SquareSums::ZERO;
+    for i in 0..main {
+        let (vx, vy) = v(i);
+        acc.add(i % LANES, vx, vy);
+    }
+    acc.finish((main..n).map(v))
+}
+
+/// Kick from the redundant field: `v += coeff · E_CIC(particle)`. Returns
+/// `(Σvx², Σvy²)` of the kicked velocities ([`SquareSums`] order).
 ///
 /// # Panics
 /// Panics if the slice lengths disagree.
@@ -26,9 +90,11 @@ pub fn update_velocities_redundant(
     e8: &[[f64; 8]],
     coeff_x: f64,
     coeff_y: f64,
-) {
+) -> (f64, f64) {
     let n = icell.len();
     assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
+    let main = n - n % LANES;
+    let mut sq = SquareSums::ZERO;
     for i in 0..n {
         let e = &e8[icell[i] as usize];
         let (odx, ody) = (dx[i], dy[i]);
@@ -40,10 +106,15 @@ pub fn update_velocities_redundant(
         let ey = w00 * e[4] + w01 * e[5] + w10 * e[6] + w11 * e[7];
         vx[i] += coeff_x * ex;
         vy[i] += coeff_y * ey;
+        if i < main {
+            sq.add(i % LANES, vx[i], vy[i]);
+        }
     }
+    sq.finish_slices(&vx[main..], &vy[main..])
 }
 
 /// Hoisted kick: the field is pre-scaled, no per-particle coefficient.
+/// Returns `(Σvx², Σvy²)` of the kicked velocities ([`SquareSums`] order).
 pub fn update_velocities_redundant_hoisted(
     icell: &[u32],
     dx: &[f64],
@@ -51,9 +122,11 @@ pub fn update_velocities_redundant_hoisted(
     vx: &mut [f64],
     vy: &mut [f64],
     e8: &[[f64; 8]],
-) {
+) -> (f64, f64) {
     let n = icell.len();
     assert!(dx.len() == n && dy.len() == n && vx.len() == n && vy.len() == n);
+    let main = n - n % LANES;
+    let mut sq = SquareSums::ZERO;
     for i in 0..n {
         let e = &e8[icell[i] as usize];
         let (odx, ody) = (dx[i], dy[i]);
@@ -63,7 +136,11 @@ pub fn update_velocities_redundant_hoisted(
         let w11 = odx * ody;
         vx[i] += w00 * e[0] + w01 * e[1] + w10 * e[2] + w11 * e[3];
         vy[i] += w00 * e[4] + w01 * e[5] + w10 * e[6] + w11 * e[7];
+        if i < main {
+            sq.add(i % LANES, vx[i], vy[i]);
+        }
     }
+    sq.finish_slices(&vx[main..], &vy[main..])
 }
 
 /// Kick from standard grid-point storage: four scattered gathers per
@@ -103,32 +180,6 @@ pub fn update_velocities_standard(
         vx[i] += coeff_x * ex;
         vy[i] += coeff_y * ey;
     }
-}
-
-/// Thread-parallel redundant kick (`#pragma omp for` over particles).
-pub fn par_update_velocities_redundant(
-    p: &mut crate::particles::ParticlesSoA,
-    e8: &[[f64; 8]],
-    coeff_x: f64,
-    coeff_y: f64,
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_velocities_redundant(v.icell, v.dx, v.dy, v.vx, v.vy, e8, coeff_x, coeff_y);
-    });
-}
-
-/// Thread-parallel hoisted redundant kick.
-pub fn par_update_velocities_redundant_hoisted(
-    p: &mut crate::particles::ParticlesSoA,
-    e8: &[[f64; 8]],
-    nchunks: usize,
-) {
-    let views = super::split_soa_mut(p, nchunks);
-    par::for_each(views, |v| {
-        update_velocities_redundant_hoisted(v.icell, v.dx, v.dy, v.vx, v.vy, e8);
-    });
 }
 
 #[cfg(test)]
@@ -256,37 +307,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let g = Grid2D::new(16, 16, 1.0, 1.0).unwrap();
+    fn kicks_return_square_sums_of_written_velocities() {
         let layout = RowMajor::new(16, 16).unwrap();
+        let g = Grid2D::new(16, 16, 1.0, 1.0).unwrap();
         let mut f = Field2D::new(&g);
         for i in 0..f.ex.len() {
-            f.ex[i] = (i % 13) as f64;
-            f.ey[i] = (i % 7) as f64;
+            f.ex[i] = (i % 13) as f64 - 6.0;
+            f.ey[i] = (i % 7) as f64 * 0.5;
         }
         let mut e8 = RedundantE::new(&layout);
         e8.fill_from(&f, &layout, 1.0, 1.0);
-
-        let n = 10_000;
-        let mut p = crate::particles::ParticlesSoA::zeroed(n);
-        for i in 0..n {
-            p.icell[i] = (i % 256) as u32;
-            p.dx[i] = (i % 10) as f64 / 10.0;
-            p.dy[i] = (i % 9) as f64 / 9.0;
+        for n in [0usize, 1, 7, 8, 9, 1001] {
+            let mut p = crate::particles::ParticlesSoA::zeroed(n);
+            for i in 0..n {
+                p.icell[i] = (i * 37 % 256) as u32;
+                p.dx[i] = (i % 10) as f64 / 10.0;
+                p.dy[i] = (i % 9) as f64 / 9.0;
+                p.vx[i] = (i % 5) as f64 - 2.0;
+            }
+            let mut q = p.clone();
+            let hoisted = update_velocities_redundant_hoisted(
+                &p.icell, &p.dx, &p.dy, &mut p.vx, &mut p.vy, &e8.e8,
+            );
+            let coeff = update_velocities_redundant(
+                &q.icell, &q.dx, &q.dy, &mut q.vx, &mut q.vy, &e8.e8, 0.5, -2.0,
+            );
+            for (got, v) in [(hoisted, &p), (coeff, &q)] {
+                let want = square_sums(n, |i| (v.vx[i], v.vy[i]));
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "n={n}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "n={n}");
+                let naive: f64 = v.vx.iter().map(|x| x * x).sum();
+                assert!((got.0 - naive).abs() <= 1e-13 * naive.max(1.0), "n={n}");
+            }
         }
-        let mut q = p.clone();
-        update_velocities_redundant(
-            &p.icell.clone(),
-            &p.dx.clone(),
-            &p.dy.clone(),
-            &mut p.vx,
-            &mut p.vy,
-            &e8.e8,
-            1.0,
-            1.0,
-        );
-        par_update_velocities_redundant(&mut q, &e8.e8, 1.0, 1.0, 4);
-        assert_eq!(p.vx, q.vx);
-        assert_eq!(p.vy, q.vy);
     }
 }

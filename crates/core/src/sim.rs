@@ -503,6 +503,11 @@ pub struct Simulation {
     /// Sort scheduler (present when `cfg.controller` is set): drives the
     /// sort schedule from observed disorder.
     controller: Option<HotPathController>,
+    /// `(Σvx², Σvy²)` returned by this step's kick, taken by the next
+    /// diagnostics record. `None` where no such kick ran since the last
+    /// record — init, restore, and the ablation paths whose kicks return
+    /// no sums — so the record falls back to a full pass.
+    kick_sums: Option<(f64, f64)>,
 }
 
 impl Simulation {
@@ -624,6 +629,7 @@ impl Simulation {
             sort_arena: sort::SortArena::new(),
             solve_scratch: SolveScratch::new(),
             controller,
+            kick_sums: None,
             cfg,
         })
     }
@@ -927,6 +933,7 @@ impl Simulation {
         self.field.ex = st.ex;
         self.field.ey = st.ey;
         self.diag.history = st.diag;
+        self.kick_sums = None;
         self.rho4.clear();
         self.refresh_field_views();
         self.particles_aos =
@@ -1143,9 +1150,13 @@ impl Simulation {
     /// and scatters each subdomain's E values, so the local solver never
     /// runs. Must follow a [`step_pre_reduce`](Self::step_pre_reduce).
     ///
-    /// Diagnostics recorded here are *local* (this rank's particles, and
-    /// field values only valid on the subdomain's points) — meaningful
-    /// after a cross-rank reduction, not per rank.
+    /// Diagnostics recorded here are *local* — meaningful after a
+    /// cross-rank reduction, not per rank. The field terms use values only
+    /// valid on the subdomain's points. The kinetic term is the Σv² this
+    /// rank's kick returned, so it covers exactly the particles this rank
+    /// kicked: leavers already sent by a migration still count here, and
+    /// arrivals not yet drained count on their sender. Summed over ranks
+    /// it is the whole population's kinetic energy.
     pub fn step_post_external_solve(&mut self) {
         self.refresh_field_views();
         self.record_diag();
@@ -1247,9 +1258,11 @@ impl Simulation {
         let unhoisted = self.unhoisted_coeffs();
 
         // Kick: elementwise over particles, so a view is a view — the pool
-        // fan-out and the sequential whole-store call are bit-identical.
+        // fan-out and the sequential whole-store call are bit-identical. Each
+        // view's kick returns its Σv²; the partials are summed in view order
+        // for this step's kinetic energy.
         let t = Instant::now();
-        {
+        let sums = {
             let e8 = &self.e8.e8;
             let p = &mut self.particles;
             let kick = |v: &mut SoaViewMut<'_>| match (hoisted, lanes) {
@@ -1285,9 +1298,14 @@ impl Simulation {
                     let mut views: [Option<SoaViewMut<'_>>; MAX_THREADS] =
                         [const { None }; MAX_THREADS];
                     let nv = kernels::split_soa_mut_into(p, pool.nthreads(), &mut views);
-                    pool.run_items(&mut views[..nv], |_, slot| {
-                        kick(slot.as_mut().expect("view slot filled"));
+                    let mut items: [(Option<SoaViewMut<'_>>, (f64, f64)); MAX_THREADS] =
+                        std::array::from_fn(|i| (views[i].take(), (0.0, 0.0)));
+                    pool.run_items(&mut items[..nv], |_, (view, sums)| {
+                        *sums = kick(view.as_mut().expect("view slot filled"));
                     });
+                    items[..nv]
+                        .iter()
+                        .fold((0.0, 0.0), |(ax, ay), (_, (x, y))| (ax + x, ay + y))
                 }
                 None => {
                     let ParticlesSoA {
@@ -1307,10 +1325,11 @@ impl Simulation {
                         dy,
                         vx,
                         vy,
-                    });
+                    })
                 }
             }
-        }
+        };
+        self.kick_sums = Some(sums);
         self.timers.update_v += t.elapsed().as_secs_f64();
 
         // Push.
@@ -1767,36 +1786,30 @@ impl Simulation {
 
     // ---------------- diagnostics ----------------
 
-    /// Kinetic energy in physical units, `½·w·m·Σ|v|²`.
+    /// Kinetic energy in physical units, `½·w·m·Σ|v|²`, from a full pass
+    /// over the velocities in the [`velocity::SquareSums`] order — the
+    /// order of the sums the redundant kicks return, so with one kick view
+    /// the per-step record equals this bit for bit.
     pub fn kinetic_energy(&self) -> f64 {
+        let sums = match &self.particles_aos {
+            Some(aos) => velocity::square_sums(aos.p.len(), |i| (aos.p[i].vx, aos.p[i].vy)),
+            None => {
+                let (vx, vy) = (&self.particles.vx, &self.particles.vy);
+                velocity::square_sums(vx.len(), |i| (vx[i], vy[i]))
+            }
+        };
+        self.kinetic_from_sums(sums)
+    }
+
+    /// `½·w·m·(cx²·Σvx² + cy²·Σvy²)`, with `c` converting hoisted
+    /// (grid-units-per-step) velocities to physical ones.
+    fn kinetic_from_sums(&self, (sx, sy): (f64, f64)) -> f64 {
         let (cx, cy) = if self.cfg.hoisted {
             (self.grid.dx() / self.cfg.dt, self.grid.dy() / self.cfg.dt)
         } else {
             (1.0, 1.0)
         };
-        let sum: f64 = match &self.particles_aos {
-            Some(aos) => aos
-                .p
-                .iter()
-                .map(|p| {
-                    let vx = p.vx * cx;
-                    let vy = p.vy * cy;
-                    vx * vx + vy * vy
-                })
-                .sum(),
-            None => self
-                .particles
-                .vx
-                .iter()
-                .zip(&self.particles.vy)
-                .map(|(&ux, &uy)| {
-                    let vx = ux * cx;
-                    let vy = uy * cy;
-                    vx * vx + vy * vy
-                })
-                .sum(),
-        };
-        0.5 * self.weight * ME * sum
+        0.5 * self.weight * ME * (cx * cx * sx + cy * cy * sy)
     }
 
     /// Electrostatic field energy from the current grid field.
@@ -1819,10 +1832,17 @@ impl Simulation {
         2.0 * (re * re + im * im).sqrt() / (ncx * ncy) as f64
     }
 
+    /// Record `Σ|v^{n+½}|²` at `t^{n+1}`, with the field energy and mode
+    /// amplitude of the field just solved. The kinetic term comes from
+    /// this step's kick when it returned sums, else from a full pass.
     fn record_diag(&mut self) {
+        let kinetic = match self.kick_sums.take() {
+            Some(sums) => self.kinetic_from_sums(sums),
+            None => self.kinetic_energy(),
+        };
         self.diag.history.push(DiagSample {
             time: self.step_count as f64 * self.cfg.dt,
-            kinetic: self.kinetic_energy(),
+            kinetic,
             field: self.field_energy(),
             ex_mode: self.ex_mode_amplitude(1),
         });
@@ -2001,6 +2021,36 @@ mod tests {
         let b = mk(4);
         for i in 0..a.len() {
             assert!((a[i] - b[i]).abs() < 1e-9, "rho[{i}]");
+        }
+    }
+
+    #[test]
+    fn kick_folded_kinetic_energy_matches_full_pass() {
+        for path in [KernelPath::Scalar, KernelPath::Lanes] {
+            for threads in [1, 2, 3] {
+                let mut cfg = small(2003);
+                cfg.kernel_path = path;
+                cfg.threads = threads;
+                cfg.sort_period = 2;
+                let mut sim = Simulation::new(cfg).unwrap();
+                for step in 1..=5 {
+                    sim.step();
+                    let folded = sim.diagnostics().history.last().unwrap().kinetic;
+                    let full = sim.kinetic_energy();
+                    if threads == 1 {
+                        assert_eq!(
+                            folded.to_bits(),
+                            full.to_bits(),
+                            "{path:?} step {step}: {folded} vs {full}"
+                        );
+                    } else {
+                        assert!(
+                            (folded - full).abs() <= 1e-13 * full,
+                            "{path:?} threads {threads} step {step}: {folded} vs {full}"
+                        );
+                    }
+                }
+            }
         }
     }
 

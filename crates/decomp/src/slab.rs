@@ -11,10 +11,11 @@
 //! * the distributed transpose between the two layouts is one
 //!   [`Comm::try_all_to_all`] block exchange — the classic slab/pencil
 //!   dance of distributed FFTs;
-//! * the spectral scale `Ê = −ik ρ̂ / |k|²` runs element-wise in the
-//!   transposed layout with the exact expression of
-//!   `PoissonSolver2D::scale_spectral`, so every coefficient carries the
-//!   same bits as the serial solve.
+//! * the packed spectral scale `Ê_x + iÊ_y` runs element-wise in the
+//!   transposed layout through [`PackedScale::mode`], the per-mode
+//!   expression every solve path shares, so every coefficient carries the
+//!   same bits as the serial solve; one inverse transform then yields
+//!   `E_x + iE_y`.
 //!
 //! Bit-exactness with [`PoissonSolver2D::solve_e`]: the serial 2-D forward
 //! runs rows (y) then columns (x), the inverse columns then rows — and each
@@ -25,7 +26,7 @@
 //! the serial field bit for bit. The parity tests assert `to_bits`
 //! equality.
 //!
-//! Per-rank memory is four slab buffers ≈ `64·nx·ny/p` bytes — it *shrinks*
+//! Per-rank memory is two slab buffers ≈ `32·nx·ny/p` bytes — it *shrinks*
 //! as ranks are added, where the root-gather path pinned O(grid) on the
 //! root regardless of `p` (see `results/BENCH_solver.json`).
 
@@ -33,7 +34,7 @@ use crate::DecompError;
 use minimpi::Comm;
 use pic_core::pool::chunk_range;
 use spectral::fft::{Fft2Plan, FftPlan};
-use spectral::poisson::wavenumbers;
+use spectral::poisson::PackedScale;
 use spectral::Complex64;
 
 /// Distributed slab solver state for one rank: 1-D plans, wavenumbers,
@@ -51,8 +52,7 @@ pub struct SlabSolver {
     col_bounds: Vec<(usize, usize)>,
     /// Shared 1-D plans (one table on square grids).
     plan: Fft2Plan,
-    kx: Vec<f64>,
-    ky: Vec<f64>,
+    scale: PackedScale,
     /// `rho_send[q]`: this rank's owned points whose grid row lies in
     /// rank `q`'s slab (ascending point order on both endpoints).
     rho_send: Vec<Vec<usize>>,
@@ -62,14 +62,11 @@ pub struct SlabSolver {
     e_send: Vec<Vec<usize>>,
     /// `e_recv[q]`: this rank's E points within rank `q`'s slab.
     e_recv: Vec<Vec<usize>>,
-    /// Row slab (`nrows × ny`), holds ρ̂ then Ex on the way back.
+    /// Row slab (`nrows × ny`), holds ρ̂ then `E_x + iE_y` on the way back.
     slab: Vec<Complex64>,
-    /// Second row slab for Ey.
-    slab2: Vec<Complex64>,
-    /// Column slab (`ncols × nx`, transposed layout), ρ̂ᵀ then Êx.
+    /// Column slab (`ncols × nx`, transposed layout), ρ̂ᵀ then the packed
+    /// `Ê_x + iÊ_y`.
     tslab: Vec<Complex64>,
-    /// Second column slab for Êy.
-    tslab2: Vec<Complex64>,
 }
 
 impl SlabSolver {
@@ -141,24 +138,20 @@ impl SlabSolver {
             row_bounds,
             col_bounds,
             plan,
-            kx: wavenumbers(nx, lx),
-            ky: wavenumbers(ny, ly),
+            scale: PackedScale::new(nx, ny, lx, ly),
             rho_send,
             rho_recv,
             e_send,
             e_recv,
             slab: vec![Complex64::ZERO; (r1 - r0) * ny],
-            slab2: vec![Complex64::ZERO; (r1 - r0) * ny],
             tslab: vec![Complex64::ZERO; (c1 - c0) * nx],
-            tslab2: vec![Complex64::ZERO; (c1 - c0) * nx],
         })
     }
 
     /// Persistent per-rank buffer bytes — the slab path's grid memory
     /// footprint, which shrinks as ranks are added.
     pub fn solver_bytes(&self) -> u64 {
-        ((self.slab.len() + self.slab2.len() + self.tslab.len() + self.tslab2.len())
-            * std::mem::size_of::<Complex64>()) as u64
+        ((self.slab.len() + self.tslab.len()) * std::mem::size_of::<Complex64>()) as u64
     }
 
     /// This rank's row-slab bounds `[r0, r1)`.
@@ -232,85 +225,61 @@ impl SlabSolver {
             self.plan.col_plan().forward(r);
         }
 
-        // 5. Spectral scale in the transposed layout — the exact per-mode
-        //    expression of the serial solver, so every Ê bit matches.
-        for jt in 0..c1 - c0 {
-            let ky = self.ky[c0 + jt];
-            for ix in 0..nx {
-                let kx = self.kx[ix];
-                let k2 = kx * kx + ky * ky;
-                let idx = jt * nx + ix;
-                if k2 != 0.0 {
-                    let phi_hat = self.tslab[idx] / k2;
-                    self.tslab[idx] = -phi_hat.mul_i().scale(kx);
-                    self.tslab2[idx] = -phi_hat.mul_i().scale(ky);
-                } else {
-                    self.tslab[idx] = Complex64::ZERO;
-                    self.tslab2[idx] = Complex64::ZERO;
-                }
+        // 5. Packed spectral scale in the transposed layout — the per-mode
+        //    expression of the serial solver, so every coefficient matches.
+        for (jt, row) in self.tslab.chunks_exact_mut(nx).enumerate() {
+            for (ix, z) in row.iter_mut().enumerate() {
+                *z = self.scale.mode(ix, c0 + jt, *z);
             }
         }
 
-        // 6. Inverse x pass on both fields (the serial inverse runs columns
-        //    first, rows second — flip of the forward order).
+        // 6. Inverse x pass (the serial inverse runs columns first, rows
+        //    second — flip of the forward order).
         for r in self.tslab.chunks_exact_mut(nx) {
             self.plan.col_plan().inverse(r);
         }
-        for r in self.tslab2.chunks_exact_mut(nx) {
-            self.plan.col_plan().inverse(r);
-        }
 
-        // 7. One combined inverse transpose: both fields per message.
+        // 7. Distributed inverse transpose: column slabs → row slabs.
         let blocks: Vec<Vec<f64>> = (0..p)
             .map(|q| {
                 let (qr0, qr1) = self.row_bounds[q];
-                let mut b = Vec::with_capacity((qr1 - qr0) * (c1 - c0) * 4);
-                for t in [&self.tslab, &self.tslab2] {
-                    for jt in 0..c1 - c0 {
-                        for &z in &t[jt * nx + qr0..jt * nx + qr1] {
-                            b.push(z.re);
-                            b.push(z.im);
-                        }
+                let mut b = Vec::with_capacity((qr1 - qr0) * (c1 - c0) * 2);
+                for jt in 0..c1 - c0 {
+                    for &z in &self.tslab[jt * nx + qr0..jt * nx + qr1] {
+                        b.push(z.re);
+                        b.push(z.im);
                     }
                 }
                 b
             })
             .collect();
         let parts = comm.try_all_to_all(&blocks, tag0 + 2)?;
+        let nrows = self.slab.len() / ny.max(1);
         for (q, vals) in parts.iter().enumerate() {
             let (qc0, qc1) = self.col_bounds[q];
-            let half = vals.len() / 2;
-            debug_assert_eq!(half, (qc1 - qc0) * (self.slab.len() / ny.max(1)) * 2);
-            for (dst, field) in [
-                (&mut self.slab, &vals[..half]),
-                (&mut self.slab2, &vals[half..]),
-            ] {
-                let mut it = field.chunks_exact(2);
-                for jt in 0..qc1 - qc0 {
-                    for i in 0..dst.len() / ny.max(1) {
-                        let v = it.next().expect("transpose payload underrun");
-                        dst[i * ny + qc0 + jt] = Complex64::new(v[0], v[1]);
-                    }
+            debug_assert_eq!(vals.len(), (qc1 - qc0) * nrows * 2);
+            let mut it = vals.chunks_exact(2);
+            for jt in 0..qc1 - qc0 {
+                for i in 0..nrows {
+                    let v = it.next().expect("transpose payload underrun");
+                    self.slab[i * ny + qc0 + jt] = Complex64::new(v[0], v[1]);
                 }
             }
         }
 
-        // 8. Inverse y pass on both fields.
+        // 8. Inverse y pass.
         for r in self.slab.chunks_exact_mut(ny) {
             self.plan.row_plan().inverse(r);
         }
-        for r in self.slab2.chunks_exact_mut(ny) {
-            self.plan.row_plan().inverse(r);
-        }
 
-        // 9. Deliver E to each rank's E points.
+        // 9. Deliver E = (Re, Im) to each rank's E points.
         let blocks: Vec<Vec<f64>> = (0..p)
             .map(|q| {
                 let mut b = Vec::with_capacity(self.e_send[q].len() * 2);
                 for &pt in &self.e_send[q] {
-                    let i = (pt / ny - r0) * ny + pt % ny;
-                    b.push(self.slab[i].re);
-                    b.push(self.slab2[i].re);
+                    let z = self.slab[(pt / ny - r0) * ny + pt % ny];
+                    b.push(z.re);
+                    b.push(z.im);
                 }
                 b
             })

@@ -13,6 +13,15 @@
 //! mode of ρ (the mean charge) is projected out: a periodic system must be
 //! globally neutral, and PIC codes enforce this by subtracting the uniform
 //! ion background — dropping the zero mode is exactly that subtraction.
+//!
+//! Both field components are real, so one inverse transform recovers both:
+//! the solve inverts the packed spectrum `P = Ê_x + iÊ_y = φ̂·(k_y′ − i·k_x′)`
+//! and reads `E_x = Re`, `E_y = Im`. The derivative wavenumbers `k′` are the
+//! signed wavenumbers with the Nyquist entry zeroed ([`PackedScale`]):
+//! `Ê_x` on the `ix = nx/2` plane is anti-Hermitian, so it contributes only
+//! to the imaginary part of its own inverse and a separate-inverse solve
+//! discards it with `.re`. Zeroing it keeps both packed halves Hermitian, so
+//! neither component leaks into the other's part.
 
 use crate::fft::{Fft2Plan, RowExecutor};
 use crate::{Complex64, SpectralError};
@@ -35,14 +44,64 @@ pub fn wavenumbers(n: usize, l: f64) -> Vec<f64> {
         .collect()
 }
 
+/// [`wavenumbers`] with the Nyquist entry (`i = n/2`) zeroed: the
+/// wavenumbers of the spectral derivative. The Nyquist mode of a real grid
+/// function has no odd part, so its derivative is zero on the grid.
+fn derivative_wavenumbers(n: usize, l: f64) -> Vec<f64> {
+    let mut k = wavenumbers(n, l);
+    k[n / 2] = 0.0;
+    k
+}
+
+/// The wavenumber tables of the packed field solve and its per-mode scale
+/// ([`mode`](Self::mode)). Every solve path — serial, pooled and the
+/// slab-distributed one — scales each coefficient with this one expression,
+/// so they stay bit-identical.
+#[derive(Debug, Clone)]
+pub struct PackedScale {
+    /// Signed wavenumbers along x: `kx[ix] = 2π·s(ix)/Lx`.
+    kx: Vec<f64>,
+    /// Signed wavenumbers along y.
+    ky: Vec<f64>,
+    /// `kx` with the Nyquist entry zeroed.
+    dkx: Vec<f64>,
+    /// `ky` with the Nyquist entry zeroed.
+    dky: Vec<f64>,
+}
+
+impl PackedScale {
+    /// The tables of an `nx × ny` grid over `Lx × Ly`.
+    pub fn new(nx: usize, ny: usize, lx: f64, ly: f64) -> Self {
+        Self {
+            kx: wavenumbers(nx, lx),
+            ky: wavenumbers(ny, ly),
+            dkx: derivative_wavenumbers(nx, lx),
+            dky: derivative_wavenumbers(ny, ly),
+        }
+    }
+
+    /// The packed field coefficient `P = Ê_x + iÊ_y = φ̂·(k_y′ − i·k_x′)`
+    /// of mode `(ix, iy)`, with `φ̂ = ρ̂/|k|²` and the zero mode projected
+    /// out.
+    #[inline]
+    pub fn mode(&self, ix: usize, iy: usize, rho_hat: Complex64) -> Complex64 {
+        let (kx, ky) = (self.kx[ix], self.ky[iy]);
+        let k2 = kx * kx + ky * ky;
+        if k2 == 0.0 {
+            return Complex64::ZERO;
+        }
+        let phi_hat = rho_hat / k2;
+        phi_hat * Complex64::new(self.dky[iy], -self.dkx[ix])
+    }
+}
+
 /// Reusable buffers for [`PoissonSolver2D::solve_e_with`]: the spectral
 /// workspaces that [`PoissonSolver2D::solve_e`] allocates on every call.
 /// Own one per simulation and the per-step field solve allocates nothing.
 #[derive(Debug, Default, Clone)]
 pub struct SolveScratch {
+    /// ρ̂, then the packed spectrum, then `E_x + iE_y`, all in place.
     hat: Vec<Complex64>,
-    hx: Vec<Complex64>,
-    hy: Vec<Complex64>,
     colbuf: Vec<Complex64>,
     /// Transpose buffer for the pool-parallel transform passes
     /// ([`PoissonSolver2D::solve_e_pooled`]); grown lazily like the rest.
@@ -58,8 +117,6 @@ impl SolveScratch {
     fn ensure(&mut self, n: usize, nx: usize) {
         if self.hat.len() < n {
             self.hat.resize(n, Complex64::ZERO);
-            self.hx.resize(n, Complex64::ZERO);
-            self.hy.resize(n, Complex64::ZERO);
         }
         if self.colbuf.len() < nx {
             self.colbuf.resize(nx, Complex64::ZERO);
@@ -81,10 +138,7 @@ pub struct PoissonSolver2D {
     lx: f64,
     ly: f64,
     plan: Fft2Plan,
-    /// Signed wavenumbers along x: `kx[ix] = 2π·freq(ix)/Lx`.
-    kx: Vec<f64>,
-    /// Signed wavenumbers along y.
-    ky: Vec<f64>,
+    scale: PackedScale,
 }
 
 impl PoissonSolver2D {
@@ -100,16 +154,13 @@ impl PoissonSolver2D {
             return Err(SpectralError::BadExtent { extent: ly });
         }
         let plan = Fft2Plan::new(nx, ny)?;
-        let kx = wavenumbers(nx, lx);
-        let ky = wavenumbers(ny, ly);
         Ok(Self {
             nx,
             ny,
             lx,
             ly,
             plan,
-            kx,
-            ky,
+            scale: PackedScale::new(nx, ny, lx, ly),
         })
     }
 
@@ -130,12 +181,12 @@ impl PoissonSolver2D {
 
     /// Signed wavenumbers along x (`kx[ix] = 2π·s(ix)/Lx`).
     pub fn kx(&self) -> &[f64] {
-        &self.kx
+        &self.scale.kx
     }
 
     /// Signed wavenumbers along y.
     pub fn ky(&self) -> &[f64] {
-        &self.ky
+        &self.scale.ky
     }
 
     /// Solve for the potential: given `rho` (row-major, `rho[ix*ny + iy]`),
@@ -149,15 +200,10 @@ impl PoissonSolver2D {
         assert_eq!(phi.len(), n);
         let mut hat: Vec<Complex64> = rho.iter().map(|&r| Complex64::from_re(r)).collect();
         self.plan.forward(&mut hat);
-        for ix in 0..self.nx {
-            for iy in 0..self.ny {
-                let k2 = self.kx[ix] * self.kx[ix] + self.ky[iy] * self.ky[iy];
-                let idx = ix * self.ny + iy;
-                hat[idx] = if k2 == 0.0 {
-                    Complex64::ZERO
-                } else {
-                    hat[idx] / k2
-                };
+        for (row, &kx) in hat.chunks_exact_mut(self.ny).zip(self.kx()) {
+            for (h, &ky) in row.iter_mut().zip(self.ky()) {
+                let k2 = kx * kx + ky * ky;
+                *h = if k2 == 0.0 { Complex64::ZERO } else { *h / k2 };
             }
         }
         self.plan.inverse(&mut hat);
@@ -168,7 +214,8 @@ impl PoissonSolver2D {
 
     /// Solve directly for the electric field `E = −∇φ` with `−Δφ = ρ`.
     ///
-    /// One forward transform and two inverse transforms; `Ê = −ik ρ̂ / |k|²`.
+    /// One forward transform and one inverse of the packed spectrum
+    /// `Ê_x + iÊ_y` (see the module docs); `Ê = −ik ρ̂ / |k|²`.
     ///
     /// # Panics
     /// Panics if slice lengths differ from `nx * ny`.
@@ -195,20 +242,14 @@ impl PoissonSolver2D {
         assert_eq!(ey.len(), n);
         scratch.ensure(n, self.nx);
         let hat = &mut scratch.hat[..n];
-        let hx = &mut scratch.hx[..n];
-        let hy = &mut scratch.hy[..n];
         let colbuf = &mut scratch.colbuf[..self.nx];
         for (h, &r) in hat.iter_mut().zip(rho) {
             *h = Complex64::from_re(r);
         }
         self.plan.forward_with(hat, colbuf);
-        self.scale_spectral(hat, hx, hy);
-        self.plan.inverse_with(hx, colbuf);
-        self.plan.inverse_with(hy, colbuf);
-        for i in 0..n {
-            ex[i] = hx[i].re;
-            ey[i] = hy[i].re;
-        }
+        self.scale_spectral(hat);
+        self.plan.inverse_with(hat, colbuf);
+        unpack(hat, ex, ey);
     }
 
     /// [`solve_e_with`](Self::solve_e_with) with the transform passes run
@@ -235,40 +276,21 @@ impl PoissonSolver2D {
         scratch.ensure(n, self.nx);
         scratch.ensure_tbuf(n);
         let hat = &mut scratch.hat[..n];
-        let hx = &mut scratch.hx[..n];
-        let hy = &mut scratch.hy[..n];
         let tbuf = &mut scratch.tbuf[..n];
         for (h, &r) in hat.iter_mut().zip(rho) {
             *h = Complex64::from_re(r);
         }
         self.plan.forward_par(hat, tbuf, exec);
-        self.scale_spectral(hat, hx, hy);
-        self.plan.inverse_par(hx, tbuf, exec);
-        self.plan.inverse_par(hy, tbuf, exec);
-        for i in 0..n {
-            ex[i] = hx[i].re;
-            ey[i] = hy[i].re;
-        }
+        self.scale_spectral(hat);
+        self.plan.inverse_par(hat, tbuf, exec);
+        unpack(hat, ex, ey);
     }
 
-    /// The per-mode scale `Ê = −ik ρ̂ / |k|²` (zero mode projected out),
-    /// shared by every solve path so they stay bit-identical.
-    fn scale_spectral(&self, hat: &[Complex64], hx: &mut [Complex64], hy: &mut [Complex64]) {
-        for ix in 0..self.nx {
-            for iy in 0..self.ny {
-                let kx = self.kx[ix];
-                let ky = self.ky[iy];
-                let k2 = kx * kx + ky * ky;
-                let idx = ix * self.ny + iy;
-                if k2 != 0.0 {
-                    // Ê = −ik · ρ̂/k²  (φ̂ = ρ̂/k², Ê = −ik φ̂).
-                    let phi_hat = hat[idx] / k2;
-                    hx[idx] = -phi_hat.mul_i().scale(kx);
-                    hy[idx] = -phi_hat.mul_i().scale(ky);
-                } else {
-                    hx[idx] = Complex64::ZERO;
-                    hy[idx] = Complex64::ZERO;
-                }
+    /// ρ̂ → packed `Ê_x + iÊ_y`, in place ([`PackedScale::mode`]).
+    fn scale_spectral(&self, hat: &mut [Complex64]) {
+        for (ix, row) in hat.chunks_exact_mut(self.ny).enumerate() {
+            for (iy, h) in row.iter_mut().enumerate() {
+                *h = self.scale.mode(ix, iy, *h);
             }
         }
     }
@@ -278,6 +300,14 @@ impl PoissonSolver2D {
     pub fn field_energy(&self, ex: &[f64], ey: &[f64]) -> f64 {
         let cell = (self.lx / self.nx as f64) * (self.ly / self.ny as f64);
         0.5 * cell * ex.iter().zip(ey).map(|(&x, &y)| x * x + y * y).sum::<f64>()
+    }
+}
+
+/// Split the inverted packed spectrum into `E_x = Re`, `E_y = Im`.
+fn unpack(e: &[Complex64], ex: &mut [f64], ey: &mut [f64]) {
+    for ((z, x), y) in e.iter().zip(ex).zip(ey) {
+        *x = z.re;
+        *y = z.im;
     }
 }
 
@@ -418,6 +448,100 @@ mod tests {
                 assert_eq!(ey_s[i].to_bits(), ey_p[i].to_bits(), "ey {nx}x{ny} i={i}");
             }
         }
+    }
+
+    /// Uniform values in `[-1, 1)` from a fixed 64-bit LCG.
+    fn random_grid(n: usize, mut state: u64) -> Vec<f64> {
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    /// The two-inverse solve: `Ê_x` and `Ê_y` inverted separately with the
+    /// full wavenumber tables, each component read from `.re`.
+    fn two_inverse_reference(
+        nx: usize,
+        ny: usize,
+        lx: f64,
+        ly: f64,
+        rho: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let plan = Fft2Plan::new(nx, ny).unwrap();
+        let (kx, ky) = (wavenumbers(nx, lx), wavenumbers(ny, ly));
+        let mut hat: Vec<Complex64> = rho.iter().map(|&r| Complex64::from_re(r)).collect();
+        plan.forward(&mut hat);
+        let (mut hx, mut hy) = (hat.clone(), hat);
+        for i in 0..nx * ny {
+            let (kx, ky) = (kx[i / ny], ky[i % ny]);
+            let k2 = kx * kx + ky * ky;
+            let phi_hat = if k2 == 0.0 {
+                Complex64::ZERO
+            } else {
+                hx[i] / k2
+            };
+            hx[i] = -phi_hat.mul_i().scale(kx);
+            hy[i] = -phi_hat.mul_i().scale(ky);
+        }
+        plan.inverse(&mut hx);
+        plan.inverse(&mut hy);
+        (
+            hx.iter().map(|z| z.re).collect(),
+            hy.iter().map(|z| z.re).collect(),
+        )
+    }
+
+    #[test]
+    fn packed_inverse_matches_two_inverse_reference() {
+        for (nx, ny, seed) in [(32usize, 32usize, 1u64), (128, 128, 2), (64, 32, 3)] {
+            let (lx, ly) = (4.0 * PI, 2.0 * PI);
+            let s = PoissonSolver2D::new(nx, ny, lx, ly).unwrap();
+            let rho = random_grid(nx * ny, seed);
+            let (mut ex, mut ey) = (vec![0.0; nx * ny], vec![0.0; nx * ny]);
+            s.solve_e(&rho, &mut ex, &mut ey);
+            let (rx, ry) = two_inverse_reference(nx, ny, lx, ly, &rho);
+            let emax = rx.iter().chain(&ry).fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(emax > 0.0);
+            for i in 0..nx * ny {
+                assert!((ex[i] - rx[i]).abs() <= 1e-12 * emax, "{nx}x{ny} ex[{i}]");
+                assert!((ey[i] - ry[i]).abs() <= 1e-12 * emax, "{nx}x{ny} ey[{i}]");
+            }
+        }
+    }
+
+    #[test]
+    fn nyquist_modes_carry_no_field() {
+        // The checkerboards along x, along y and along both: each is a pure
+        // Nyquist mode, whose spectral derivative vanishes on the grid.
+        let (nx, ny) = (16, 8);
+        let s = PoissonSolver2D::new(nx, ny, 2.0 * PI, 1.0).unwrap();
+        let phases: [fn(usize, usize) -> usize; 3] = [|ix, _| ix, |_, iy| iy, |ix, iy| ix + iy];
+        for (m, phase) in phases.iter().enumerate() {
+            let rho: Vec<f64> = (0..nx * ny)
+                .map(|i| (-1.0f64).powi(phase(i / ny, i % ny) as i32))
+                .collect();
+            let (mut ex, mut ey) = (vec![1.0; nx * ny], vec![1.0; nx * ny]);
+            s.solve_e(&rho, &mut ex, &mut ey);
+            for i in 0..nx * ny {
+                assert!(ex[i].abs() <= 1e-12, "shape {m}: ex[{i}] = {}", ex[i]);
+                assert!(ey[i].abs() <= 1e-12, "shape {m}: ey[{i}] = {}", ey[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn derivative_wavenumbers_zero_only_nyquist() {
+        let (k, d) = (wavenumbers(8, 2.0), derivative_wavenumbers(8, 2.0));
+        assert_eq!(d[4], 0.0);
+        assert!(k[4] > 0.0);
+        for i in (0..8).filter(|&i| i != 4) {
+            assert_eq!(k[i].to_bits(), d[i].to_bits(), "i={i}");
+        }
+        assert_eq!(derivative_wavenumbers(1, 1.0), vec![0.0]);
     }
 
     #[test]

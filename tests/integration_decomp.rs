@@ -31,6 +31,8 @@ struct RankReport {
     ey: Vec<f64>,
     counts_per_step: Vec<usize>,
     migrated_out: u64,
+    /// This rank's last recorded kinetic energy.
+    kinetic: f64,
 }
 
 fn run_decomposed(ranks: usize, ord: Ordering, dcfg: DecompConfig) -> Vec<RankReport> {
@@ -51,6 +53,7 @@ fn run_decomposed(ranks: usize, ord: Ordering, dcfg: DecompConfig) -> Vec<RankRe
             e_points: dsim.plan().e_points.clone(),
             counts_per_step: counts,
             migrated_out: dsim.stats().migrated_out,
+            kinetic: dsim.sim().diagnostics().history.last().unwrap().kinetic,
         }
     })
 }
@@ -119,6 +122,26 @@ fn decomposed_matches_serial_hilbert() {
     for ranks in [2usize, 4] {
         let reports = run_decomposed(ranks, Ordering::Hilbert, DecompConfig::default());
         check_against_serial(ranks, Ordering::Hilbert, &reports);
+    }
+}
+
+#[test]
+fn decomposed_kinetic_energy_sums_to_serial() {
+    // Each rank records the kinetic energy of the particles it kicked this
+    // step, so the ranks' records sum to the whole population's even while
+    // migrants are in flight between the send and the drain.
+    for ord in [Ordering::Morton, Ordering::Hilbert] {
+        let mut serial = Simulation::new(cfg(ord)).unwrap();
+        serial.run(STEPS);
+        let want = serial.diagnostics().history.last().unwrap().kinetic;
+        for ranks in [2usize, 4] {
+            let reports = run_decomposed(ranks, ord, DecompConfig::default());
+            let got: f64 = reports.iter().map(|r| r.kinetic).sum();
+            assert!(
+                (got - want).abs() <= 1e-9 * want,
+                "{ord} ranks={ranks}: summed kinetic {got} vs serial {want}"
+            );
+        }
     }
 }
 

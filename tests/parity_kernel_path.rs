@@ -41,6 +41,25 @@ fn assert_paths_bit_identical(mut cfg: PicConfig, steps: usize, what: &str) {
         assert_eq!(ps.vx[i].to_bits(), pl.vx[i].to_bits(), "{what}: vx[{i}]");
         assert_eq!(ps.vy[i].to_bits(), pl.vy[i].to_bits(), "{what}: vy[{i}]");
     }
+
+    // The diagnostics too: the kinetic energy each kick returns is summed
+    // in one order on both paths.
+    let (hs, hl) = (&scalar.diagnostics().history, &lanes.diagnostics().history);
+    assert_eq!(hs.len(), hl.len(), "{what}: diagnostics length");
+    for (k, (a, b)) in hs.iter().zip(hl).enumerate() {
+        for (name, x, y) in [
+            ("time", a.time, b.time),
+            ("kinetic", a.kinetic, b.kinetic),
+            ("field", a.field, b.field),
+            ("ex_mode", a.ex_mode, b.ex_mode),
+        ] {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: diagnostics[{k}].{name}: {x} vs {y}"
+            );
+        }
+    }
 }
 
 /// Fully-optimized config at a small grid; `n` deliberately not a multiple
